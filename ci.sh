@@ -75,6 +75,9 @@ regen_transport_goldens env DSV_SHARDS=2
 regen_transport_goldens env DSV_CLUSTER=exact
 regen_transport_goldens env DSV_CLUSTER=off
 
+echo "==> perfbench fidelity (traced dispatch loop matches run_until, same outcome bytes)"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> sharded regeneration gate (DSV_SHARDS=2, both backends, cache off)"
 for backend in wheel heap; do
   DSV_SHARDS=2 DSV_QUEUE=$backend DSV_CACHE=off \

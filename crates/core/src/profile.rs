@@ -9,21 +9,38 @@
 //! it is always on), and the [`Runner`](crate::runner::Runner) prints a
 //! report after each batch when `DSV_PROFILE=1` is set.
 //!
-//! The macro-bench (`runner_bench`) uses [`snapshot`]/[`reset`] to embed
+//! Sums bracket by subtraction, but peaks do not: a batch's queue and
+//! in-flight high-water marks are kept per *window*, where every
+//! [`snapshot`] closes the current window and opens the next. A bracket
+//! `after.since(&before)` reports the largest peak recorded in the
+//! windows between its two snapshots, so one batch never reports a peak
+//! left over from an earlier one.
+//!
+//! The macro-bench (`runner_bench`) brackets runs with [`snapshot`] to embed
 //! the same numbers in `results/BENCH_sweep.json`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
+use serde::{Serialize, Value};
 
 static ENCODE_NS: AtomicU64 = AtomicU64::new(0);
 static SIMULATE_NS: AtomicU64 = AtomicU64::new(0);
 static SCORE_NS: AtomicU64 = AtomicU64::new(0);
 static EVENTS: AtomicU64 = AtomicU64::new(0);
 static POINTS: AtomicU64 = AtomicU64::new(0);
-static QUEUE_HIGH_WATER: AtomicU64 = AtomicU64::new(0);
-static POOL_HIGH_WATER: AtomicU64 = AtomicU64::new(0);
+/// `(queue, pool)` peaks per snapshot window; the last entry is open.
+static PEAK_WINDOWS: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
+
+/// The window log, holding at least the open window.
+fn peak_windows() -> MutexGuard<'static, Vec<(u64, u64)>> {
+    let mut windows = PEAK_WINDOWS.lock().unwrap_or_else(PoisonError::into_inner);
+    if windows.is_empty() {
+        windows.push((0, 0));
+    }
+    windows
+}
 
 /// Record time spent acquiring encode-stage artifacts (model/encoder/
 /// reference features) for one run.
@@ -43,12 +60,14 @@ pub fn add_score(d: Duration) {
     SCORE_NS.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
 }
 
-/// Record one run's peak queue population and peak in-flight packet count.
-/// The process-wide value is the max over all runs — the number that sizes
+/// Record one run's peak queue population and peak in-flight packet count
+/// into the open snapshot window — the numbers that size
 /// `EventQueue::with_capacity` / `PacketPool::with_capacity`.
 pub fn record_high_water(queue: usize, pool: usize) {
-    QUEUE_HIGH_WATER.fetch_max(queue as u64, Ordering::Relaxed);
-    POOL_HIGH_WATER.fetch_max(pool as u64, Ordering::Relaxed);
+    let mut windows = peak_windows();
+    let open = windows.last_mut().expect("a window is always open");
+    open.0 = open.0.max(queue as u64);
+    open.1 = open.1.max(pool as u64);
 }
 
 /// Whether `DSV_PROFILE=1` asked for stderr stage reports.
@@ -60,7 +79,7 @@ pub fn enabled() -> bool {
 }
 
 /// A point-in-time copy of the accumulated stage totals.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ProfileSnapshot {
     /// Wall time acquiring encode artifacts, nanoseconds.
     pub encode_ns: u64,
@@ -72,27 +91,46 @@ pub struct ProfileSnapshot {
     pub events: u64,
     /// Simulated points (one per run).
     pub points: u64,
-    /// Peak event-queue population across all runs (sizes
-    /// `EventQueue::with_capacity`).
+    /// Peak event-queue population over the bracketed runs (sizes
+    /// `EventQueue::with_capacity`); 0 in a raw snapshot.
     pub queue_high_water: u64,
-    /// Peak in-flight packet count across all runs (sizes
-    /// `PacketPool::with_capacity`).
+    /// Peak in-flight packet count over the bracketed runs (sizes
+    /// `PacketPool::with_capacity`); 0 in a raw snapshot.
     pub pool_high_water: u64,
+    /// The peak window this snapshot opened (not serialized).
+    window: usize,
+}
+
+impl Serialize for ProfileSnapshot {
+    fn to_value(&self) -> Value {
+        let field = |k: &str, v: u64| (k.to_string(), v.to_value());
+        Value::Object(vec![
+            field("encode_ns", self.encode_ns),
+            field("simulate_ns", self.simulate_ns),
+            field("score_ns", self.score_ns),
+            field("events", self.events),
+            field("points", self.points),
+            field("queue_high_water", self.queue_high_water),
+            field("pool_high_water", self.pool_high_water),
+        ])
+    }
 }
 
 impl ProfileSnapshot {
-    /// Stage totals since `other` (for bracketing a batch).
+    /// Stage totals since `other` (for bracketing a batch). The peaks are
+    /// the maxima over the runs recorded between the two snapshots.
     pub fn since(&self, other: &ProfileSnapshot) -> ProfileSnapshot {
+        let windows = peak_windows();
+        let peaks = &windows[other.window.min(self.window)..self.window];
         ProfileSnapshot {
             encode_ns: self.encode_ns.saturating_sub(other.encode_ns),
             simulate_ns: self.simulate_ns.saturating_sub(other.simulate_ns),
             score_ns: self.score_ns.saturating_sub(other.score_ns),
             events: self.events.saturating_sub(other.events),
             points: self.points.saturating_sub(other.points),
-            // High-water marks are maxima, not sums: the delta of a batch
-            // is simply the current peak.
-            queue_high_water: self.queue_high_water,
-            pool_high_water: self.pool_high_water,
+            queue_high_water: peaks.iter().map(|w| w.0).max().unwrap_or(0),
+            pool_high_water: peaks.iter().map(|w| w.1).max().unwrap_or(0),
+            window: self.window,
         }
     }
 
@@ -124,28 +162,23 @@ impl ProfileSnapshot {
     }
 }
 
-/// Copy the current totals.
+/// Copy the current totals, closing the open peak window.
 pub fn snapshot() -> ProfileSnapshot {
+    let window = {
+        let mut windows = peak_windows();
+        windows.push((0, 0));
+        windows.len() - 1
+    };
     ProfileSnapshot {
         encode_ns: ENCODE_NS.load(Ordering::Relaxed),
         simulate_ns: SIMULATE_NS.load(Ordering::Relaxed),
         score_ns: SCORE_NS.load(Ordering::Relaxed),
         events: EVENTS.load(Ordering::Relaxed),
         points: POINTS.load(Ordering::Relaxed),
-        queue_high_water: QUEUE_HIGH_WATER.load(Ordering::Relaxed),
-        pool_high_water: POOL_HIGH_WATER.load(Ordering::Relaxed),
+        queue_high_water: 0,
+        pool_high_water: 0,
+        window,
     }
-}
-
-/// Zero all totals (bench bracketing).
-pub fn reset() {
-    ENCODE_NS.store(0, Ordering::Relaxed);
-    SIMULATE_NS.store(0, Ordering::Relaxed);
-    SCORE_NS.store(0, Ordering::Relaxed);
-    EVENTS.store(0, Ordering::Relaxed);
-    POINTS.store(0, Ordering::Relaxed);
-    QUEUE_HIGH_WATER.store(0, Ordering::Relaxed);
-    POOL_HIGH_WATER.store(0, Ordering::Relaxed);
 }
 
 /// Print a labelled stage report for the delta since `since` on stderr
@@ -179,13 +212,26 @@ mod tests {
     }
 
     #[test]
-    fn high_water_is_a_process_wide_maximum() {
-        record_high_water(10, 5);
+    fn high_water_is_a_per_batch_maximum() {
+        // Far above anything a concurrently running test records.
+        const BIG: usize = 1 << 40;
+        let start = snapshot();
+        record_high_water(BIG, BIG / 2);
         record_high_water(4, 2); // smaller run must not lower the peak
-        let s = snapshot();
-        assert!(s.queue_high_water >= 10);
-        assert!(s.pool_high_water >= 5);
-        assert!(s.summary().contains("peak queue"));
+        let mid = snapshot();
+        record_high_water(3, 1);
+        let end = snapshot();
+
+        let first = mid.since(&start);
+        assert_eq!(first.queue_high_water, BIG as u64);
+        assert_eq!(first.pool_high_water, BIG as u64 / 2);
+        assert!(first.summary().contains(&format!("peak queue {BIG}")));
+        // The next batch reports its own peak, not the earlier one.
+        let second = end.since(&mid);
+        assert!(second.queue_high_water >= 3 && second.queue_high_water < BIG as u64);
+        assert!(second.pool_high_water >= 1 && second.pool_high_water < BIG as u64);
+        // A bracket around both batches spans both windows.
+        assert_eq!(end.since(&start).queue_high_water, BIG as u64);
     }
 
     #[test]

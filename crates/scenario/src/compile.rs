@@ -478,6 +478,41 @@ fn build_action(a: &ActionSpec) -> PolicyAction<StreamPayload> {
     }
 }
 
+/// Reject the topologies `NetworkBuilder::build` cannot route: a host
+/// needs exactly one access link, and every node must reach every host.
+/// `peers` is the adjacency list of the spec's links, by node index.
+fn check_topology(spec: &ScenarioSpec, peers: &[Vec<usize>]) -> Result<(), CompileError> {
+    for (node, links) in spec.nodes.iter().zip(peers) {
+        if node.app.is_some() && links.len() != 1 {
+            return Err(CompileError::new(format!(
+                "host `{}` has {} links; a host needs exactly one access link",
+                node.name,
+                links.len()
+            )));
+        }
+    }
+    if spec.nodes.iter().any(|n| n.app.is_some()) {
+        let mut reached = vec![false; peers.len()];
+        let mut stack = vec![0];
+        reached[0] = true;
+        while let Some(u) = stack.pop() {
+            for &v in &peers[u] {
+                if !reached[v] {
+                    reached[v] = true;
+                    stack.push(v);
+                }
+            }
+        }
+        if let Some(i) = reached.iter().position(|&r| !r) {
+            return Err(CompileError::new(format!(
+                "node `{}` is not connected to `{}`: every node must reach every host",
+                spec.nodes[i].name, spec.nodes[0].name
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Lower `spec` to a built network plus result handles.
 ///
 /// Builder calls happen in spec order: all nodes (forking the scenario
@@ -488,6 +523,11 @@ pub fn compile(
     opts: CompileOptions<'_>,
 ) -> Result<CompiledScenario, CompileError> {
     let ids = Resolver::new(spec)?;
+    if spec.horizon_ns == Some(0) {
+        return Err(CompileError::new(
+            "`horizon_ns` is 0: the run would end before anything is sent",
+        ));
+    }
     let mut rng = SimRng::seed_from_u64(spec.seed);
     let mut b = NetworkBuilder::<StreamPayload>::new();
     let mut apps = AppBuilder {
@@ -511,6 +551,7 @@ pub fn compile(
         }
     }
 
+    let mut peers = vec![Vec::new(); spec.nodes.len()];
     for link in &spec.links {
         let a = ids.get(&link.a)?;
         let z = ids.get(&link.b)?;
@@ -520,6 +561,8 @@ pub fn compile(
                 link.a
             )));
         }
+        peers[a.0 as usize].push(z.0 as usize);
+        peers[z.0 as usize].push(a.0 as usize);
         b.connect_with(
             a,
             z,
@@ -535,6 +578,8 @@ pub fn compile(
             build_qdisc(&link.qdisc_ba),
         );
     }
+
+    check_topology(spec, &peers)?;
 
     for cond in &spec.conditioners {
         let node = ids.get(&cond.node)?;
@@ -695,6 +740,41 @@ mod tests {
         };
         compile(&chain_spec(20_000_000), opts).expect("compiles");
         assert_eq!(seen.into_inner(), vec!["ingress".to_string()]);
+    }
+
+    /// The committed example spec, parsed.
+    fn policed_chain_example() -> ScenarioSpec {
+        serde_json::from_str(include_str!(
+            "../../../examples/scenario_policed_chain.json"
+        ))
+        .expect("the committed example parses")
+    }
+
+    #[test]
+    fn example_without_links_is_rejected() {
+        let mut spec = policed_chain_example();
+        spec.links.clear();
+        let err = expect_err(compile(&spec, CompileOptions::default()));
+        assert!(err.to_string().contains("has 0 links"), "{err}");
+    }
+
+    #[test]
+    fn example_with_zero_horizon_is_rejected() {
+        let mut spec = policed_chain_example();
+        spec.horizon_ns = Some(0);
+        let err = expect_err(compile(&spec, CompileOptions::default()));
+        assert!(err.to_string().contains("`horizon_ns` is 0"), "{err}");
+    }
+
+    #[test]
+    fn example_with_a_detached_router_is_rejected() {
+        let mut spec = policed_chain_example();
+        spec.nodes.push(NodeSpec::router("island"));
+        let err = expect_err(compile(&spec, CompileOptions::default()));
+        assert!(
+            err.to_string().contains("`island` is not connected"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -424,14 +424,8 @@ impl Application<StreamPayload> for AbrServer {
 
     fn on_timer(&mut self, ctx: &mut AppCtx<StreamPayload>, token: u64) {
         if token == TOK_RTO {
-            if let Some(deadline) = self.sender.rto_deadline() {
-                if ctx.now() >= deadline {
-                    let acts = self.sender.on_timeout(ctx.now());
-                    self.perform(ctx, acts);
-                } else {
-                    ctx.set_timer(deadline.saturating_since(ctx.now()), TOK_RTO);
-                }
-            }
+            let acts = self.sender.on_rto_timer(ctx.now());
+            self.perform(ctx, acts);
         }
     }
 }

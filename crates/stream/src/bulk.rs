@@ -97,14 +97,8 @@ impl Application<StreamPayload> for BulkTcpSender {
 
     fn on_timer(&mut self, ctx: &mut AppCtx<StreamPayload>, token: u64) {
         if token == TOK_RTO {
-            if let Some(deadline) = self.sender.rto_deadline() {
-                if ctx.now() >= deadline {
-                    let acts = self.sender.on_timeout(ctx.now());
-                    self.perform(ctx, acts);
-                } else {
-                    ctx.set_timer(deadline.saturating_since(ctx.now()), TOK_RTO);
-                }
-            }
+            let acts = self.sender.on_rto_timer(ctx.now());
+            self.perform(ctx, acts);
         }
     }
 }
@@ -201,5 +195,9 @@ mod tests {
             media.rx_bytes - media.rx_packets * HEADER_BYTES as u64 >= total,
             "all bytes delivered"
         );
+        // One outstanding RTO timer: the event queue holds the packets in
+        // flight plus a few timers, not one stale timer per ACK.
+        let high_water = sim.queue.high_water();
+        assert!(high_water <= 64, "queue high-water {high_water}");
     }
 }

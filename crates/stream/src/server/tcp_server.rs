@@ -170,16 +170,8 @@ impl Application<StreamPayload> for TcpStreamServer {
                 }
             }
             TOK_RTO => {
-                // Only act if the deadline the sender is tracking has truly
-                // passed (stale timers from rearming are ignored).
-                if let Some(deadline) = self.sender.rto_deadline() {
-                    if ctx.now() >= deadline {
-                        let acts = self.sender.on_timeout(ctx.now());
-                        self.perform(ctx, acts);
-                    } else {
-                        ctx.set_timer(deadline.saturating_since(ctx.now()), TOK_RTO);
-                    }
-                }
+                let acts = self.sender.on_rto_timer(ctx.now());
+                self.perform(ctx, acts);
             }
             _ => {}
         }
@@ -250,5 +242,9 @@ mod tests {
         assert_eq!(media.total_drops(), 0);
         let acks = sim.net.stats.flow(FlowId(2));
         assert!(acks.tx_packets > 1000, "client ACK-clocked the transfer");
+        // One outstanding RTO timer: the event queue holds the packets in
+        // flight plus a few timers, not one stale timer per ACK.
+        let high_water = sim.queue.high_water();
+        assert!(high_water <= 64, "queue high-water {high_water}");
     }
 }

@@ -14,6 +14,22 @@
 //! timers to arm), so they are unit-testable without a network and reusable
 //! by the server/client applications in this crate.
 //!
+//! # One outstanding retransmission timer
+//!
+//! The sender owns the bookkeeping for a single engine timer. Every
+//! advancing ACK restarts the RTO *deadline*, but that only moves a
+//! number: [`SenderActions::arm_rto`] means "schedule an engine timer
+//! now", and the sender asks for one only when none is pending or when
+//! the deadline moved *earlier* than the pending timer (the RTO drops
+//! from its 1 s initial value to about 200 ms after the first RTT
+//! sample). The caller hands every firing to
+//! [`TcpSender::on_rto_timer`], which ignores a superseded timer, takes
+//! the timeout when the deadline has passed, and otherwise re-arms once,
+//! to the current deadline. So at most one live timer chain exists per
+//! sender, and an ACK-clocked transfer costs one timer event per RTO
+//! period instead of one per ACK. A timeout still fires exactly at the
+//! deadline: the pending timer never lies later than it.
+//!
 //! Simplifications relative to a production stack, none of which affect the
 //! reproduced behaviour: byte-granularity cumulative ACKs without SACK, a
 //! single RTT sample in flight (Karn's algorithm), no delayed ACKs, no
@@ -33,7 +49,9 @@ pub const MSS: u32 = 1448;
 pub struct SenderActions {
     /// Segments to transmit now: `(seq, len)` byte ranges.
     pub segments: Vec<(u64, u32)>,
-    /// If set, (re)arm the retransmission timer this far in the future.
+    /// If set, schedule an engine timer this far in the future now, and
+    /// hand its firing to [`TcpSender::on_rto_timer`]. Never cancel an
+    /// earlier one: the sender recognises and ignores superseded timers.
     pub arm_rto: Option<SimDuration>,
 }
 
@@ -61,8 +79,11 @@ pub struct TcpSender {
     dupacks: u32,
     /// If in fast recovery, the snd_nxt at entry (new-Reno-lite exit).
     recovery_point: Option<u64>,
-    /// Deadline of the armed RTO timer, if any (callers check expiry).
+    /// When the retransmission timeout expires, if data is in flight.
     rto_deadline: Option<SimTime>,
+    /// Fire time of the one outstanding engine timer, if any. Never later
+    /// than `rto_deadline` while that is set.
+    rto_timer: Option<SimTime>,
     /// Diagnostic: number of retransmission timeouts taken.
     pub timeouts: u64,
     /// Diagnostic: number of fast retransmits triggered.
@@ -91,6 +112,7 @@ impl TcpSender {
             dupacks: 0,
             recovery_point: None,
             rto_deadline: None,
+            rto_timer: None,
             timeouts: 0,
             fast_retransmits: 0,
         }
@@ -121,11 +143,6 @@ impl TcpSender {
         self.snd_una
     }
 
-    /// Current RTO deadline, if armed.
-    pub fn rto_deadline(&self) -> Option<SimTime> {
-        self.rto_deadline
-    }
-
     /// Emit as many new segments as the window allows.
     pub fn poll_send(&mut self, now: SimTime) -> SenderActions {
         let mut acts = SenderActions::default();
@@ -143,8 +160,7 @@ impl TcpSender {
             self.snd_nxt += len as u64;
         }
         if !acts.segments.is_empty() && self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now + self.rto);
-            acts.arm_rto = Some(self.rto);
+            self.restart_rto(now, &mut acts);
         }
         acts
     }
@@ -185,8 +201,7 @@ impl TcpSender {
                     if len > 0 {
                         acts.segments.push((ack, len));
                     }
-                    self.rto_deadline = Some(now + self.rto);
-                    acts.arm_rto = Some(self.rto);
+                    self.restart_rto(now, &mut acts);
                     return acts;
                 }
             } else if self.cwnd < self.ssthresh {
@@ -198,8 +213,7 @@ impl TcpSender {
             }
             // Restart the RTO for remaining flight.
             if self.flight() > 0 {
-                self.rto_deadline = Some(now + self.rto);
-                acts.arm_rto = Some(self.rto);
+                self.restart_rto(now, &mut acts);
             } else {
                 self.rto_deadline = None;
             }
@@ -216,8 +230,7 @@ impl TcpSender {
                     acts.segments.push((self.snd_una, len));
                 }
                 self.probe = None;
-                self.rto_deadline = Some(now + self.rto);
-                acts.arm_rto = Some(self.rto);
+                self.restart_rto(now, &mut acts);
             } else if self.recovery_point.is_some() {
                 // Inflate during recovery.
                 self.cwnd += MSS as f64;
@@ -226,14 +239,46 @@ impl TcpSender {
         // Window may have opened.
         let more = self.poll_send(now);
         acts.segments.extend(more.segments);
-        if acts.arm_rto.is_none() {
-            acts.arm_rto = more.arm_rto;
-        }
+        acts.arm_rto = acts.arm_rto.or(more.arm_rto);
         acts
     }
 
-    /// The retransmission timer fired (caller verified the deadline).
-    pub fn on_timeout(&mut self, now: SimTime) -> SenderActions {
+    /// An engine timer scheduled through [`SenderActions::arm_rto`] fired.
+    ///
+    /// A superseded timer (not the outstanding one) is ignored. Otherwise
+    /// the timeout is taken when the deadline has passed, or the timer is
+    /// re-armed once, to the current deadline.
+    pub fn on_rto_timer(&mut self, now: SimTime) -> SenderActions {
+        if self.rto_timer != Some(now) {
+            return SenderActions::default();
+        }
+        self.rto_timer = None;
+        match self.rto_deadline {
+            Some(deadline) if now >= deadline => self.on_timeout(now),
+            Some(deadline) => {
+                self.rto_timer = Some(deadline);
+                SenderActions {
+                    segments: Vec::new(),
+                    arm_rto: Some(deadline.saturating_since(now)),
+                }
+            }
+            None => SenderActions::default(),
+        }
+    }
+
+    /// Restart the RTO deadline at `now`, asking for an engine timer only
+    /// when none is pending or the new deadline is earlier than it.
+    fn restart_rto(&mut self, now: SimTime, acts: &mut SenderActions) {
+        let deadline = now + self.rto;
+        self.rto_deadline = Some(deadline);
+        if self.rto_timer.is_none_or(|at| deadline < at) {
+            self.rto_timer = Some(deadline);
+            acts.arm_rto = Some(self.rto);
+        }
+    }
+
+    /// The retransmission timeout expired.
+    fn on_timeout(&mut self, now: SimTime) -> SenderActions {
         let mut acts = SenderActions::default();
         if self.flight() == 0 {
             self.rto_deadline = None;
@@ -254,8 +299,7 @@ impl TcpSender {
             acts.segments.push((self.snd_una, len));
             self.snd_nxt = self.snd_una + len as u64;
         }
-        self.rto_deadline = Some(now + self.rto);
-        acts.arm_rto = Some(self.rto);
+        self.restart_rto(now, &mut acts);
         acts
     }
 
@@ -452,6 +496,142 @@ mod tests {
             pending = next;
         }
         assert_eq!(r.delivered(), 50_000);
+    }
+
+    /// Schedule the engine timer `acts` asks for, if any.
+    fn schedule(pending: &mut Vec<SimTime>, now: SimTime, acts: &SenderActions) {
+        if let Some(delay) = acts.arm_rto {
+            pending.push(now + delay);
+        }
+    }
+
+    /// One engine timer firing: its time, the sender's state before and
+    /// after, and the actions it produced.
+    type Firing = (SimTime, String, String, SenderActions);
+
+    /// Fire every pending timer due at or before `now`, earliest first,
+    /// scheduling whatever the firings re-arm.
+    fn fire_due(s: &mut TcpSender, pending: &mut Vec<SimTime>, now: SimTime) -> Vec<Firing> {
+        let mut fired = Vec::new();
+        while let Some(i) = (0..pending.len())
+            .filter(|&i| pending[i] <= now)
+            .min_by_key(|&i| pending[i])
+        {
+            let at = pending.remove(i);
+            let before = format!("{s:?}");
+            let acts = s.on_rto_timer(at);
+            schedule(pending, at, &acts);
+            fired.push((at, before, format!("{s:?}"), acts));
+        }
+        fired
+    }
+
+    #[test]
+    fn advancing_acks_arm_at_most_one_timer() {
+        let mut s = TcpSender::new();
+        s.write(100_000_000);
+        let mut pending = Vec::new();
+        let first = s.poll_send(T0);
+        schedule(&mut pending, T0, &first);
+        let mut acked = 0u64;
+        let mut ack_arms = 0;
+        let mut firings = 0;
+        for ms in 1..=1000 {
+            let now = t(ms);
+            firings += fire_due(&mut s, &mut pending, now).len();
+            acked += MSS as u64;
+            let acts = s.on_ack(now, acked);
+            ack_arms += usize::from(acts.arm_rto.is_some());
+            schedule(&mut pending, now, &acts);
+        }
+        assert!(ack_arms <= 1, "1000 advancing ACKs armed {ack_arms} timers");
+        assert_eq!(s.timeouts, 0);
+        // One timer chain re-armed about once per 200 ms RTO, not per ACK.
+        assert!(firings <= 6, "{firings} timer firings over 1 s");
+        assert!(pending.len() <= 2, "pending timers: {pending:?}");
+    }
+
+    #[test]
+    fn earlier_deadline_after_first_rtt_sample_rearms() {
+        let mut s = TcpSender::new();
+        s.write(1_000_000);
+        assert_eq!(s.poll_send(T0).arm_rto, Some(SimDuration::from_secs(1)));
+        // The first RTT sample drops the RTO to its 200 ms floor: the
+        // deadline moves from 1 s to 250 ms, ahead of the pending timer.
+        let a = s.on_ack(t(50), MSS as u64);
+        assert_eq!(s.rto, SimDuration::from_millis(200));
+        assert_eq!(a.arm_rto, Some(SimDuration::from_millis(200)));
+        // A later deadline keeps the timer that is already pending.
+        let b = s.on_ack(t(60), 2 * MSS as u64);
+        assert_eq!(s.rto_deadline, Some(t(260)));
+        assert_eq!(b.arm_rto, None);
+    }
+
+    #[test]
+    fn superseded_timer_is_a_no_op() {
+        let mut s = TcpSender::new();
+        s.write(10_000_000);
+        let mut pending = Vec::new();
+        let first = s.poll_send(T0);
+        schedule(&mut pending, T0, &first);
+        // ACKs every 140 ms keep the transfer alive; the first moves the
+        // deadline ahead of the initial 1 s timer, which then goes stale.
+        let mut acked = 0u64;
+        let mut stale = Vec::new();
+        for ms in (50..=1100).step_by(140) {
+            let fired = fire_due(&mut s, &mut pending, t(ms));
+            stale.extend(fired.into_iter().filter(|f| f.0 == t(1000)));
+            acked += MSS as u64;
+            let acts = s.on_ack(t(ms), acked);
+            schedule(&mut pending, t(ms), &acts);
+        }
+        let [(_, before, after, acts)] = &stale[..] else {
+            panic!("the 1 s timer must fire exactly once: {stale:?}");
+        };
+        assert_eq!(before, after, "a superseded timer changes nothing");
+        assert_eq!(*acts, SenderActions::default());
+        assert_eq!(s.timeouts, 0);
+    }
+
+    #[test]
+    fn timeout_fires_exactly_at_the_deadline() {
+        let mut s = TcpSender::new();
+        s.write(1_000_000);
+        s.poll_send(T0);
+        let a = s.on_ack(t(50), MSS as u64);
+        assert_eq!(a.arm_rto, Some(SimDuration::from_millis(200)));
+        s.on_ack(t(100), 2 * MSS as u64);
+        // The timer fires at 250 ms, before the 300 ms deadline: it
+        // re-arms once, to the deadline, without timing out.
+        let early = s.on_rto_timer(t(250));
+        assert!(early.segments.is_empty());
+        assert_eq!(early.arm_rto, Some(SimDuration::from_millis(50)));
+        assert_eq!(s.timeouts, 0);
+        // The re-armed timer lands exactly on the deadline and times out.
+        assert_eq!(s.rto_deadline, Some(t(300)));
+        let una = s.snd_una();
+        let fired = s.on_rto_timer(t(300));
+        assert_eq!(s.timeouts, 1);
+        assert_eq!(fired.segments, vec![(una, MSS)]);
+        assert_eq!(fired.arm_rto, Some(SimDuration::from_millis(400)));
+    }
+
+    #[test]
+    fn timer_with_nothing_in_flight_clears_and_does_not_rearm() {
+        let mut s = TcpSender::new();
+        s.write(MSS as u64);
+        assert!(s.poll_send(T0).arm_rto.is_some());
+        assert_eq!(s.on_ack(t(50), MSS as u64).arm_rto, None);
+        assert_eq!(s.flight(), 0);
+        let fired = s.on_rto_timer(t(1000));
+        assert_eq!(fired, SenderActions::default());
+        assert_eq!((s.rto_deadline, s.rto_timer), (None, None));
+        // With no timer pending, the next send arms a fresh one.
+        s.write(MSS as u64);
+        assert_eq!(
+            s.poll_send(t(1500)).arm_rto,
+            Some(SimDuration::from_millis(200))
+        );
     }
 
     #[test]

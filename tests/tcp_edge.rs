@@ -36,20 +36,21 @@ fn blackout_backs_off_exponentially_to_the_rto_ceiling() {
     let initial_rto = first.arm_rto.expect("first send arms the timer");
     assert_eq!(initial_rto, SimDuration::from_secs(1));
 
-    // Fire every deadline with no ACK ever arriving: each timeout must
+    // Fire every armed timer with no ACK ever arriving: each timeout must
     // double the RTO (clamped at 60 s), retransmit exactly the first
     // unacknowledged segment, and never advance snd_una.
     let mut rtos = Vec::new();
+    let mut rto = initial_rto;
     for _ in 0..10 {
-        let deadline = s.rto_deadline().expect("timer stays armed");
-        now = deadline;
-        let acts = s.on_timeout(now);
+        now += rto;
+        let acts = s.on_rto_timer(now);
         assert_eq!(
             acts.segments,
             vec![(0, MSS)],
             "go-back-N retransmits from snd_una"
         );
-        rtos.push(acts.arm_rto.expect("timeout re-arms the timer"));
+        rto = acts.arm_rto.expect("timeout re-arms the timer");
+        rtos.push(rto);
         assert_eq!(s.snd_una(), 0, "nothing was acknowledged");
         assert_eq!(s.cwnd(), u64::from(MSS), "window collapses to one MSS");
     }
