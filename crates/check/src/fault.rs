@@ -141,11 +141,11 @@ impl FaultPlan {
     /// Wrap `inner` with every fault planned for `tap`. Returns `inner`
     /// unchanged when nothing targets the tap, so unfaulted scenarios pay
     /// nothing and behave bit-identically to an unwrapped run.
-    pub fn wrap<P: Clone + Send + 'static>(
+    pub fn wrap<P: Clone + 'static>(
         &self,
         tap: &str,
-        inner: Box<dyn Conditioner<P> + Send>,
-    ) -> Box<dyn Conditioner<P> + Send> {
+        inner: Box<dyn Conditioner<P>>,
+    ) -> Box<dyn Conditioner<P>> {
         let kinds: Vec<FaultKind> = self
             .faults
             .iter()
@@ -166,7 +166,7 @@ impl FaultPlan {
 /// but deliberately excludes swallowed packets — that lie is the point
 /// of [`FaultKind::Drop`]: the conservation oracle must notice the leak.
 pub struct FaultyConditioner<P> {
-    inner: Box<dyn Conditioner<P> + Send>,
+    inner: Box<dyn Conditioner<P>>,
     faults: Vec<FaultKind>,
     /// Submissions seen so far (1-based index of the *next* packet is
     /// `seen + 1`).
@@ -180,7 +180,7 @@ pub struct FaultyConditioner<P> {
 }
 
 impl<P> FaultyConditioner<P> {
-    fn new(inner: Box<dyn Conditioner<P> + Send>, faults: Vec<FaultKind>) -> FaultyConditioner<P> {
+    fn new(inner: Box<dyn Conditioner<P>>, faults: Vec<FaultKind>) -> FaultyConditioner<P> {
         let skew_mul = faults
             .iter()
             .filter_map(|f| match f {
@@ -313,7 +313,7 @@ mod tests {
         }
     }
 
-    fn wrapped(kind: FaultKind) -> Box<dyn Conditioner<()> + Send> {
+    fn wrapped(kind: FaultKind) -> Box<dyn Conditioner<()>> {
         FaultPlan::new(1)
             .with("tap", kind)
             .wrap("tap", Box::new(PassThrough))

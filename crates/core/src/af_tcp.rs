@@ -175,11 +175,9 @@ pub fn af_tcp_spec(cfg: &AfTcpConfig) -> ScenarioSpec {
             LinkParams {
                 rate_bps: 100_000_000,
                 // The per-position microsecond keeps otherwise-identical
-                // pairs out of exact phase: no two access paths are the
-                // same cable, and nanosecond-coincident decisions by
-                // different nodes are the one tie class whose serial
-                // FIFO order the sharded engine's event stamps cannot
-                // reconstruct (see `dsv_sim::stamped`).
+                // access paths out of exact phase: no two of them are the
+                // same cable, so their packets never reach the edge in
+                // nanosecond lockstep.
                 propagation_ns: 100_000 + cfg.rtt_extra_ms[p as usize] * 500_000 + p as u64 * 1_000,
             },
         ));

@@ -9,7 +9,8 @@
 //! Like [`crate::aggregate::AggregateOutcome`], a [`FlowsOutcome`] is
 //! indexed by flow label and bridges symmetry classes through canonical
 //! rank maps, so the runner's cache and exact-cluster transplants work
-//! unchanged (see [`to_canonical_order`] / [`from_canonical_order`]).
+//! unchanged (see [`flows_to_canonical_order`] /
+//! [`flows_from_canonical_order`]).
 //!
 //! Because these outcomes are never VQM-scored, the `DSV_QOE` estimator
 //! choice (see [`crate::qoe`]) deliberately does **not** enter a

@@ -217,7 +217,7 @@ fn record_err(abs_err: f64) {
 /// Whether the stable per-flow hash selects this feature record for a
 /// full-VQM check at sample period `k`. Keying on the canonical feature
 /// bytes (not an arrival index) keeps the sample identical across thread
-/// schedules, queue backends and shard counts.
+/// schedules and queue backends.
 pub fn sampled_selects(features: &FlowFeatures, k: u64) -> bool {
     k == 1 || fnv1a64(features.canonical_bytes().as_bytes()) % k == 0
 }

@@ -11,7 +11,7 @@ const FLOW: FlowId = FlowId(1);
 
 fn build(
     rate_bps: u64,
-    cond: Box<dyn Conditioner<()> + Send>,
+    cond: Box<dyn Conditioner<()>>,
     send_rate_bps: u64,
     secs: u64,
 ) -> Simulation<()> {

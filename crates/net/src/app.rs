@@ -7,6 +7,9 @@
 //! callback and executed by the network afterwards, which keeps borrows
 //! simple and interleavings deterministic.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use dsv_sim::{SimDuration, SimTime};
 
 use crate::packet::{Dscp, FlowId, FragmentInfo, NodeId, Packet, Proto};
@@ -121,59 +124,35 @@ pub trait Application<P> {
 /// [`Shared`]: read (or mutate) the application's state from outside the
 /// simulation, typically after the run finishes.
 ///
-/// The handle is an `Arc<Mutex<…>>` so a `Shared` application can ride a
-/// network domain onto a worker thread in the sharded engine. The lock is
-/// uncontended by construction — the network never re-enters an
-/// application (commands are buffered), and experiment code reads handles
-/// only after the run — so [`Handle::borrow`] keeps the ergonomics (and
-/// call sites) of the `Rc<RefCell<…>>` it replaced.
-pub struct Handle<T>(std::sync::Arc<std::sync::Mutex<T>>);
-
-impl<T> Handle<T> {
-    /// Lock and borrow the application state.
-    ///
-    /// # Panics
-    /// Panics if the mutex is poisoned (an application callback panicked
-    /// on another thread — the run is already lost at that point).
-    pub fn borrow(&self) -> std::sync::MutexGuard<'_, T> {
-        self.0.lock().expect("application state poisoned")
-    }
-}
-
-impl<T> Clone for Handle<T> {
-    fn clone(&self) -> Self {
-        Handle(self.0.clone())
-    }
-}
+/// Simulations are single-threaded, so `Rc<RefCell<…>>` is sound here; the
+/// network never re-enters an application (commands are buffered), so the
+/// borrow is never held across callbacks.
+pub type Handle<T> = Rc<RefCell<T>>;
 
 /// A delegating adapter that lets the experiment code keep a [`Handle`] to
 /// an application after handing it to the network: build the application
 /// with [`Shared::new`], give the network the `Shared`, and read the
 /// handle's state back once the run finishes.
-pub struct Shared<T>(std::sync::Arc<std::sync::Mutex<T>>);
+pub struct Shared<T>(Handle<T>);
 
 impl<T> Shared<T> {
     /// Wrap a freshly built application, returning the keepable handle and
     /// the boxed adapter in one step.
     pub fn new(app: T) -> (Handle<T>, Shared<T>) {
-        let arc = std::sync::Arc::new(std::sync::Mutex::new(app));
-        (Handle(arc.clone()), Shared(arc))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-        self.0.lock().expect("application state poisoned")
+        let rc = Rc::new(RefCell::new(app));
+        (rc.clone(), Shared(rc))
     }
 }
 
 impl<P, T: Application<P>> Application<P> for Shared<T> {
     fn on_start(&mut self, ctx: &mut AppCtx<P>) {
-        self.lock().on_start(ctx);
+        self.0.borrow_mut().on_start(ctx);
     }
     fn on_packet(&mut self, ctx: &mut AppCtx<P>, pkt: Packet<P>) {
-        self.lock().on_packet(ctx, pkt);
+        self.0.borrow_mut().on_packet(ctx, pkt);
     }
     fn on_timer(&mut self, ctx: &mut AppCtx<P>, token: u64) {
-        self.lock().on_timer(ctx, token);
+        self.0.borrow_mut().on_timer(ctx, token);
     }
 }
 

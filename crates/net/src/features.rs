@@ -3,15 +3,14 @@
 //! The QoE proxy path (DESIGN.md §12) replaces per-frame VQM scoring with
 //! a regression over flow-level signals, which means the receiver must
 //! measure those signals **as packets arrive** — the same observer shape
-//! as [`crate::audit`]: ride the event path, keep O(1) state, never
+//! as the `audit` feature's `SimAudit`: ride the event path, keep O(1) state, never
 //! retain packets or frames. [`FeatureExtractor`] is that observer; its
 //! [`finish`](FeatureExtractor::finish) snapshot is the [`FlowFeatures`]
 //! record the estimators consume.
 //!
 //! Everything here is a pure function of the per-flow delivery sequence
 //! `(seq, bytes, arrival, delay)`, which the engine guarantees is
-//! identical across event-queue backends, shard counts and cluster
-//! modes — so extracted features inherit the simulator's byte-identity
+//! identical across event-queue backends and cluster modes — so extracted features inherit the simulator's byte-identity
 //! contract (pinned by the `qoe_features` proptest suite).
 
 use dsv_sim::{SimDuration, SimTime};

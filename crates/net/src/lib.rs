@@ -55,7 +55,6 @@ pub mod network;
 pub mod packet;
 pub mod pool;
 pub mod qdisc;
-pub mod shard;
 pub mod stats;
 pub mod traffic;
 pub mod wred;
@@ -79,7 +78,6 @@ pub mod prelude {
     pub use crate::qdisc::{
         ef_high_priority, DropTailQueue, EnqueueResult, Qdisc, QueueLimits, StrictPriorityQueue,
     };
-    pub use crate::shard::{partition_nodes, set_shards_for_process, shards_from_env, Partition};
     pub use crate::stats::{DelaySummary, FlowCounters, NetStats, TraceEntry, TraceKind};
     pub use crate::traffic::{CbrSource, CountingSink, OnOffSource, PoissonSource};
     pub use crate::wred::{drop_precedence, WredParams, WredQueue};

@@ -12,13 +12,6 @@
 //! conditioned, routed, queued and re-serialized. Routing tables are
 //! computed once at build time by breadth-first search, so any connected
 //! topology works without manual route entry.
-//!
-//! Every handler is generic over a [`NetSink`] — the serial engine passes
-//! the plain [`EventQueue`], while the sharded engine (see [`crate::shard`])
-//! passes a per-domain sink that stamps events and routes cross-domain
-//! arrivals through boundary batches. The handlers themselves cannot tell
-//! the difference, which is what makes the two engines produce the same
-//! event sequence.
 
 use std::collections::VecDeque;
 
@@ -69,57 +62,10 @@ pub enum NetEvent {
     CondPoll(NodeId),
 }
 
-impl NetEvent {
-    /// The node an event is addressed to — the event's *location*, which
-    /// the sharded engine uses both to assign events to domains and to
-    /// stamp the events a dispatch schedules.
-    pub fn node(&self) -> NodeId {
-        match *self {
-            NetEvent::Start(node) | NetEvent::CondPoll(node) => node,
-            NetEvent::Timer { node, .. }
-            | NetEvent::Arrive { node, .. }
-            | NetEvent::PortReady { node, .. } => node,
-        }
-    }
-}
-
-/// Where the network handlers put the events (and boundary packets) they
-/// produce.
-///
-/// The serial engine's sink is the [`EventQueue`] itself: everything is
-/// local and `schedule` is a plain queue insert. The sharded engine's sink
-/// is a per-domain wrapper that stamps each event with a partition-
-/// independent [`dsv_sim::EventStamp`] and diverts packets crossing a
-/// domain boundary into an outbox ([`NetSink::send_remote`]) instead of
-/// the local queue.
-pub trait NetSink<P> {
-    /// Schedule `event` at absolute time `at`.
-    fn schedule(&mut self, at: SimTime, event: NetEvent);
-
-    /// Whether `node` is simulated by this sink's domain. The serial
-    /// engine owns every node.
-    fn is_local(&self, _node: NodeId) -> bool {
-        true
-    }
-
-    /// Hand off a packet whose next arrival happens at a node owned by
-    /// another domain. Only called when [`NetSink::is_local`] returned
-    /// `false` for `dst` — never on the serial path.
-    fn send_remote(&mut self, _at: SimTime, _dst: NodeId, _pkt: Packet<P>) {
-        unreachable!("this sink owns every node; send_remote has no meaning")
-    }
-}
-
-impl<P> NetSink<P> for EventQueue<NetEvent> {
-    fn schedule(&mut self, at: SimTime, event: NetEvent) {
-        EventQueue::schedule(self, at, event);
-    }
-}
-
 struct Port<P> {
     link: Link,
     peer: NodeId,
-    qdisc: Box<dyn Qdisc<P> + Send>,
+    qdisc: Box<dyn Qdisc<P>>,
     busy: bool,
     /// Packets currently inside `qdisc`, mirrored here so the hot paths
     /// (is the port drained? can a packet pass straight through?) answer
@@ -151,26 +97,14 @@ struct Node<P> {
     routes: Vec<Option<PortId>>,
 }
 
-/// An empty stand-in occupying a foreign node's slot in a domain network
-/// (and a split-out node's slot in the main network) so `NodeId` indexing
-/// stays global. Placeholders are never the target of an event.
-fn placeholder_node<P>() -> Node<P> {
-    Node {
-        kind: NodeKind::Router,
-        name: String::new(),
-        ports: Vec::new(),
-        routes: Vec::new(),
-    }
-}
-
 /// Builds a [`Network`].
 pub struct NetworkBuilder<P> {
     nodes: Vec<Node<P>>,
-    apps: Vec<Option<Box<dyn Application<P> + Send>>>,
-    conditioners: Vec<Option<Box<dyn Conditioner<P> + Send>>>,
+    apps: Vec<Option<Box<dyn Application<P>>>>,
+    conditioners: Vec<Option<Box<dyn Conditioner<P>>>>,
 }
 
-impl<P: Send + 'static> NetworkBuilder<P> {
+impl<P: 'static> NetworkBuilder<P> {
     /// Start an empty topology.
     pub fn new() -> Self {
         NetworkBuilder {
@@ -181,7 +115,7 @@ impl<P: Send + 'static> NetworkBuilder<P> {
     }
 
     /// Add a host running `app`, starting at t = 0.
-    pub fn add_host(&mut self, name: &str, app: Box<dyn Application<P> + Send>) -> NodeId {
+    pub fn add_host(&mut self, name: &str, app: Box<dyn Application<P>>) -> NodeId {
         self.add_host_starting(name, app, SimTime::ZERO)
     }
 
@@ -189,7 +123,7 @@ impl<P: Send + 'static> NetworkBuilder<P> {
     pub fn add_host_starting(
         &mut self,
         name: &str,
-        app: Box<dyn Application<P> + Send>,
+        app: Box<dyn Application<P>>,
         start_at: SimTime,
     ) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
@@ -238,8 +172,8 @@ impl<P: Send + 'static> NetworkBuilder<P> {
         b: NodeId,
         link_ab: Link,
         link_ba: Link,
-        qdisc_ab: Box<dyn Qdisc<P> + Send>,
-        qdisc_ba: Box<dyn Qdisc<P> + Send>,
+        qdisc_ab: Box<dyn Qdisc<P>>,
+        qdisc_ba: Box<dyn Qdisc<P>>,
     ) {
         assert_ne!(a, b, "self-loops are not allowed");
         let cap_ab = qdisc_ab.direct_admit_cap();
@@ -265,7 +199,7 @@ impl<P: Send + 'static> NetworkBuilder<P> {
     }
 
     /// Attach an ingress conditioner to a router.
-    pub fn set_conditioner(&mut self, node: NodeId, cond: Box<dyn Conditioner<P> + Send>) {
+    pub fn set_conditioner(&mut self, node: NodeId, cond: Box<dyn Conditioner<P>>) {
         assert!(
             matches!(self.nodes[node.0 as usize].kind, NodeKind::Router),
             "conditioners attach to routers"
@@ -367,7 +301,7 @@ impl<P: Send + 'static> NetworkBuilder<P> {
     }
 }
 
-impl<P: Send + 'static> Default for NetworkBuilder<P> {
+impl<P: 'static> Default for NetworkBuilder<P> {
     fn default() -> Self {
         Self::new()
     }
@@ -376,8 +310,8 @@ impl<P: Send + 'static> Default for NetworkBuilder<P> {
 /// The simulated network (see module docs).
 pub struct Network<P> {
     nodes: Vec<Node<P>>,
-    apps: Vec<Option<Box<dyn Application<P> + Send>>>,
-    conditioners: Vec<Option<Box<dyn Conditioner<P> + Send>>>,
+    apps: Vec<Option<Box<dyn Application<P>>>>,
+    conditioners: Vec<Option<Box<dyn Conditioner<P>>>>,
     /// Earliest pending [`NetEvent::CondPoll`] per node, or `None` if no
     /// poll is outstanding. A backlogged shaper asks to be polled once per
     /// queued packet *and* once per poll that finds the head unready; without
@@ -390,9 +324,8 @@ pub struct Network<P> {
     /// the run and read counters afterwards).
     pub stats: NetStats,
     /// Next packet id **per flow** (linear scan: a run has a handful of
-    /// flows). Per-flow numbering makes ids independent of how sends from
-    /// different flows interleave globally — the property that lets every
-    /// shard assign ids locally and still match the serial engine.
+    /// flows). Per-flow numbering keeps a flow's ids independent of how
+    /// its sends interleave with other flows' sends.
     flow_next_id: Vec<(FlowId, u64)>,
     /// In-flight packets, parked between transmission and arrival so the
     /// event queue carries only [`PacketRef`] handles.
@@ -450,9 +383,13 @@ impl<P: 'static> Network<P> {
         }
     }
 
-    fn dispatch_app<S, F>(&mut self, now: SimTime, node: NodeId, f: F, sink: &mut S)
-    where
-        S: NetSink<P>,
+    fn dispatch_app<F>(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        f: F,
+        queue: &mut EventQueue<NetEvent>,
+    ) where
         F: FnOnce(&mut dyn Application<P>, &mut AppCtx<P>),
     {
         let idx = node.0 as usize;
@@ -468,7 +405,7 @@ impl<P: 'static> Network<P> {
         for cmd in commands.drain(..) {
             match cmd {
                 AppCommand::SetTimer { delay, token } => {
-                    sink.schedule(now + delay, NetEvent::Timer { node, token });
+                    queue.schedule(now + delay, NetEvent::Timer { node, token });
                 }
                 AppCommand::Send(spec) => {
                     let id = self.next_packet_id(spec.flow);
@@ -488,14 +425,20 @@ impl<P: 'static> Network<P> {
                     #[cfg(feature = "audit")]
                     self.audit.on_sent(pkt.flow, pkt.id, pkt.size, node);
                     // Hosts have exactly one port (asserted at build).
-                    self.enqueue_on_port(now, node, PortId(0), pkt, sink);
+                    self.enqueue_on_port(now, node, PortId(0), pkt, queue);
                 }
             }
         }
         self.cmd_buf = commands;
     }
 
-    fn forward<S: NetSink<P>>(&mut self, now: SimTime, node: NodeId, pkt: Packet<P>, sink: &mut S) {
+    fn forward(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        pkt: Packet<P>,
+        queue: &mut EventQueue<NetEvent>,
+    ) {
         let idx = node.0 as usize;
         match self.nodes[idx]
             .routes
@@ -503,7 +446,7 @@ impl<P: 'static> Network<P> {
             .copied()
             .flatten()
         {
-            Some(port) => self.enqueue_on_port(now, node, port, pkt, sink),
+            Some(port) => self.enqueue_on_port(now, node, port, pkt, queue),
             None => {
                 self.stats
                     .on_dropped(now, pkt.flow, pkt.id, pkt.size, node, DropReason::NoRoute);
@@ -513,13 +456,13 @@ impl<P: 'static> Network<P> {
         }
     }
 
-    fn enqueue_on_port<S: NetSink<P>>(
+    fn enqueue_on_port(
         &mut self,
         now: SimTime,
         node: NodeId,
         port: PortId,
         pkt: Packet<P>,
-        sink: &mut S,
+        queue: &mut EventQueue<NetEvent>,
     ) {
         let idx = node.0 as usize;
         let p = &mut self.nodes[idx].ports[port.0 as usize];
@@ -527,14 +470,14 @@ impl<P: 'static> Network<P> {
         // through — an enqueue followed by an immediate dequeue would hand
         // the same packet back, so skip both virtual calls.
         if !p.busy && p.queued == 0 && pkt.size <= p.direct_cap {
-            self.begin_transmit(now, node, port, pkt, sink);
+            self.begin_transmit(now, node, port, pkt, queue);
             return;
         }
         match p.qdisc.enqueue(pkt) {
             Ok(()) => {
                 p.queued += 1;
                 if !p.busy {
-                    self.transmit_next(now, node, port, sink);
+                    self.transmit_next(now, node, port, queue);
                 }
             }
             Err(pkt) => {
@@ -552,12 +495,12 @@ impl<P: 'static> Network<P> {
         }
     }
 
-    fn transmit_next<S: NetSink<P>>(
+    fn transmit_next(
         &mut self,
         now: SimTime,
         node: NodeId,
         port: PortId,
-        sink: &mut S,
+        queue: &mut EventQueue<NetEvent>,
     ) {
         let idx = node.0 as usize;
         let p = &mut self.nodes[idx].ports[port.0 as usize];
@@ -567,61 +510,39 @@ impl<P: 'static> Network<P> {
         }
         if let Some(pkt) = p.qdisc.dequeue() {
             p.queued -= 1;
-            self.begin_transmit(now, node, port, pkt, sink);
+            self.begin_transmit(now, node, port, pkt, queue);
         }
     }
 
-    /// Put `pkt` on the wire out of an idle `port`: mark the port busy and
-    /// schedule its `PortReady` plus the peer's `Arrive` (in that order —
-    /// the event sequence every path through the port logic must produce).
-    fn begin_transmit<S: NetSink<P>>(
+    /// Park `pkt` in the pool and put it on the wire out of an idle `port`
+    /// (see [`Network::relay_transmit`]).
+    fn begin_transmit(
         &mut self,
         now: SimTime,
         node: NodeId,
         port: PortId,
         pkt: Packet<P>,
-        sink: &mut S,
+        queue: &mut EventQueue<NetEvent>,
     ) {
-        #[cfg(feature = "audit")]
-        self.audit
-            .on_transmit(now, node, port, pkt.flow, pkt.id, pkt.size);
-        let p = &mut self.nodes[node.0 as usize].ports[port.0 as usize];
-        debug_assert!(!p.busy);
-        p.busy = true;
-        let ser = if p.ser_memo.0 == pkt.size {
-            p.ser_memo.1
-        } else {
-            let ser = p.link.serialization(pkt.size);
-            p.ser_memo = (pkt.size, ser);
-            ser
-        };
-        let arrive = now + ser + p.link.propagation;
-        let peer = p.peer;
-        sink.schedule(now + ser, NetEvent::PortReady { node, port });
-        if sink.is_local(peer) {
-            sink.schedule(
-                arrive,
-                NetEvent::Arrive {
-                    node: peer,
-                    packet: self.pool.insert(pkt),
-                },
-            );
-        } else {
-            sink.send_remote(arrive, peer, pkt);
-        }
+        let size = pkt.size;
+        let packet = self.pool.insert(pkt);
+        self.relay_transmit(now, node, port, size, packet, queue);
     }
 
-    /// Like [`Network::begin_transmit`], but for a packet that never left
-    /// the pool: the same [`PacketRef`] rides the next `Arrive`, so a
-    /// router hop moves a handle instead of the packet body.
-    fn relay_transmit<S: NetSink<P>>(
+    /// Put the parked `packet` on the wire out of an idle `port`: mark the
+    /// port busy and schedule its `PortReady` plus the peer's `Arrive` (in
+    /// that order — the event sequence every path through the port logic
+    /// must produce). A router hop that never lifted the packet out of the
+    /// pool calls this directly, so the hop moves a handle instead of the
+    /// packet body.
+    fn relay_transmit(
         &mut self,
         now: SimTime,
         node: NodeId,
         port: PortId,
         size: u32,
         packet: PacketRef,
-        sink: &mut S,
+        queue: &mut EventQueue<NetEvent>,
     ) {
         #[cfg(feature = "audit")]
         if self.audit.enabled() {
@@ -643,122 +564,14 @@ impl<P: 'static> Network<P> {
         };
         let arrive = now + ser + p.link.propagation;
         let peer = p.peer;
-        sink.schedule(now + ser, NetEvent::PortReady { node, port });
-        if sink.is_local(peer) {
-            sink.schedule(arrive, NetEvent::Arrive { node: peer, packet });
-        } else {
-            // The relayed packet leaves this domain's pool and crosses the
-            // boundary by value; the receiving domain re-parks it.
-            let pkt = self.pool.take(packet);
-            sink.send_remote(arrive, peer, pkt);
-        }
+        queue.schedule(now + ser, NetEvent::PortReady { node, port });
+        queue.schedule(arrive, NetEvent::Arrive { node: peer, packet });
     }
 
     /// Peak number of simultaneously in-flight packets observed so far
     /// (sizes [`PacketPool::with_capacity`]; reported by `DSV_PROFILE=1`).
     pub fn pool_high_water(&self) -> usize {
         self.pool.high_water()
-    }
-
-    /// Number of nodes in the topology.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Every directed link as `(min(a, b), max(a, b), propagation delay)`
-    /// — the weighted graph the sharded engine partitions. Each physical
-    /// link contributes one entry per direction; the partitioner treats
-    /// them as parallel edges and takes the minimum crossing weight, so
-    /// asymmetric propagation delays are handled conservatively.
-    pub fn link_edges(&self) -> Vec<(u32, u32, SimDuration)> {
-        let mut edges = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            let a = i as u32;
-            for p in &node.ports {
-                let b = p.peer.0;
-                edges.push((a.min(b), a.max(b), p.link.propagation));
-            }
-        }
-        edges
-    }
-
-    /// The in-flight packet pool (sharded engine: boundary handoff and
-    /// leftover-event reassembly move packets between domain pools).
-    pub(crate) fn pool_mut(&mut self) -> &mut PacketPool<P> {
-        &mut self.pool
-    }
-
-    /// Carve the network into `k` per-domain networks, moving each node
-    /// (with its application and conditioner) into the network of the
-    /// domain that owns it. Every domain network keeps full-length,
-    /// globally-indexed vectors with placeholders in foreign slots, so
-    /// `NodeId`s stay valid everywhere. The main network is left hollow
-    /// until [`Network::absorb_domain`] moves everything back.
-    pub(crate) fn split_domains(&mut self, domain_of: &[u32], k: usize) -> Vec<Network<P>> {
-        let n = self.nodes.len();
-        debug_assert_eq!(domain_of.len(), n);
-        let mut out = Vec::with_capacity(k);
-        for d in 0..k as u32 {
-            let mut nodes = Vec::with_capacity(n);
-            let mut apps = Vec::with_capacity(n);
-            let mut conditioners = Vec::with_capacity(n);
-            for (i, &owner) in domain_of.iter().enumerate() {
-                if owner == d {
-                    nodes.push(std::mem::replace(&mut self.nodes[i], placeholder_node()));
-                    apps.push(self.apps[i].take());
-                    conditioners.push(self.conditioners[i].take());
-                } else {
-                    nodes.push(placeholder_node());
-                    apps.push(None);
-                    conditioners.push(None);
-                }
-            }
-            out.push(Network {
-                nodes,
-                apps,
-                conditioners,
-                cond_poll_at: self.cond_poll_at.clone(),
-                stats: self.stats.fork_registrations(),
-                flow_next_id: self.flow_next_id.clone(),
-                pool: PacketPool::with_capacity(64),
-                cmd_buf: Vec::with_capacity(8),
-                #[cfg(feature = "audit")]
-                audit: self.audit.fork_domain(),
-            });
-        }
-        out
-    }
-
-    /// Reabsorb one domain network after a sharded run: move its owned
-    /// nodes (with all queued packets and conditioner backlog) back into
-    /// place and fold its statistics and audit ledger into the main ones.
-    /// The domain's pool must already be drained (leftover `Arrive`
-    /// packets are transferred during queue reassembly, before this call).
-    pub(crate) fn absorb_domain(&mut self, mut dom: Network<P>, domain: u32, domain_of: &[u32]) {
-        debug_assert_eq!(
-            dom.pool.live(),
-            0,
-            "domain pool must be drained before absorbing"
-        );
-        for (i, &owner) in domain_of.iter().enumerate() {
-            if owner != domain {
-                continue;
-            }
-            self.nodes[i] = std::mem::replace(&mut dom.nodes[i], placeholder_node());
-            self.apps[i] = dom.apps[i].take();
-            self.conditioners[i] = dom.conditioners[i].take();
-            self.cond_poll_at[i] = dom.cond_poll_at[i];
-        }
-        for (flow, next) in dom.flow_next_id {
-            match self.flow_next_id.iter_mut().find(|(f, _)| *f == flow) {
-                Some((_, mine)) => *mine = (*mine).max(next),
-                None => self.flow_next_id.push((flow, next)),
-            }
-        }
-        self.stats.merge_from(dom.stats);
-        self.pool.absorb_high_water(dom.pool.high_water());
-        #[cfg(feature = "audit")]
-        self.audit.merge_from(dom.audit);
     }
 
     /// A packet arrived at a router: condition it, route it, and move it
@@ -772,12 +585,12 @@ impl<P: 'static> Network<P> {
     /// drops, busy ports, full queues) lifts the packet out and follows
     /// the classic store-and-forward path, producing the identical event
     /// sequence it always has.
-    fn router_arrive<S: NetSink<P>>(
+    fn router_arrive(
         &mut self,
         now: SimTime,
         node: NodeId,
         packet: PacketRef,
-        sink: &mut S,
+        queue: &mut EventQueue<NetEvent>,
     ) {
         let idx = node.0 as usize;
         let verdict = match self.conditioners[idx].as_mut() {
@@ -799,10 +612,10 @@ impl<P: 'static> Network<P> {
                     Some(port) => {
                         let p = &self.nodes[idx].ports[port.0 as usize];
                         if !p.busy && p.queued == 0 && size <= p.direct_cap {
-                            self.relay_transmit(now, node, port, size, packet, sink);
+                            self.relay_transmit(now, node, port, size, packet, queue);
                         } else {
                             let pkt = self.pool.take(packet);
-                            self.enqueue_on_port(now, node, port, pkt, sink);
+                            self.enqueue_on_port(now, node, port, pkt, queue);
                         }
                     }
                     None => {
@@ -829,24 +642,24 @@ impl<P: 'static> Network<P> {
             }
             QuickVerdict::NeedsSubmit => {
                 let pkt = self.pool.take(packet);
-                self.condition_and_forward(now, node, pkt, sink);
+                self.condition_and_forward(now, node, pkt, queue);
             }
         }
     }
 
-    fn condition_and_forward<S: NetSink<P>>(
+    fn condition_and_forward(
         &mut self,
         now: SimTime,
         node: NodeId,
         pkt: Packet<P>,
-        sink: &mut S,
+        queue: &mut EventQueue<NetEvent>,
     ) {
         let idx = node.0 as usize;
         if let Some(mut cond) = self.conditioners[idx].take() {
             let outcome = cond.submit(now, pkt);
             self.conditioners[idx] = Some(cond);
             match outcome {
-                ConditionOutcome::Pass(pkt) => self.forward(now, node, pkt, sink),
+                ConditionOutcome::Pass(pkt) => self.forward(now, node, pkt, queue),
                 ConditionOutcome::Drop(pkt, reason) => {
                     self.stats
                         .on_dropped(now, pkt.flow, pkt.id, pkt.size, node, reason);
@@ -854,29 +667,29 @@ impl<P: 'static> Network<P> {
                     self.audit.on_dropped(pkt.flow, pkt.id, pkt.size, node);
                 }
                 ConditionOutcome::Absorbed { poll_at } => {
-                    self.schedule_cond_poll(node, poll_at.max(now), sink);
+                    self.schedule_cond_poll(node, poll_at.max(now), queue);
                 }
             }
         } else {
-            self.forward(now, node, pkt, sink);
+            self.forward(now, node, pkt, queue);
         }
     }
 
     /// Request a conditioner poll at `at`, skipping the event if an earlier
     /// (or equal) poll is already pending — that one will observe the same
     /// queue head and reschedule as needed.
-    fn schedule_cond_poll<S: NetSink<P>>(&mut self, node: NodeId, at: SimTime, sink: &mut S) {
+    fn schedule_cond_poll(&mut self, node: NodeId, at: SimTime, queue: &mut EventQueue<NetEvent>) {
         let slot = &mut self.cond_poll_at[node.0 as usize];
         match slot {
             Some(pending) if *pending <= at => {}
             _ => {
                 *slot = Some(at);
-                sink.schedule(at, NetEvent::CondPoll(node));
+                queue.schedule(at, NetEvent::CondPoll(node));
             }
         }
     }
 
-    fn poll_conditioner<S: NetSink<P>>(&mut self, now: SimTime, node: NodeId, sink: &mut S) {
+    fn poll_conditioner(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<NetEvent>) {
         let idx = node.0 as usize;
         // This firing satisfies the pending request (if it is the one we
         // tracked); later requests re-arm via `schedule_cond_poll`.
@@ -887,10 +700,10 @@ impl<P: 'static> Network<P> {
             let released = cond.release(now);
             self.conditioners[idx] = Some(cond);
             for pkt in released.packets {
-                self.forward(now, node, pkt, sink);
+                self.forward(now, node, pkt, queue);
             }
             if let Some(next) = released.next_poll {
-                self.schedule_cond_poll(node, next.max(now), sink);
+                self.schedule_cond_poll(node, next.max(now), queue);
             }
         }
     }
@@ -931,32 +744,31 @@ impl<P: 'static> Network<P> {
     }
 }
 
-impl<P: 'static> Network<P> {
-    /// Dispatch one event through any [`NetSink`] — the single handler
-    /// shared by the serial engine ([`World::handle`] passes the event
-    /// queue) and the sharded engine (a per-domain stamping sink).
-    pub fn handle_event<S: NetSink<P>>(&mut self, now: SimTime, event: NetEvent, sink: &mut S) {
+impl<P: 'static> World for Network<P> {
+    type Event = NetEvent;
+
+    fn handle(&mut self, now: SimTime, event: NetEvent, queue: &mut EventQueue<NetEvent>) {
         #[cfg(feature = "audit")]
         self.audit.on_event(now);
         match event {
             NetEvent::Start(node) => {
-                self.dispatch_app(now, node, |app, ctx| app.on_start(ctx), sink);
+                self.dispatch_app(now, node, |app, ctx| app.on_start(ctx), queue);
             }
             NetEvent::Timer { node, token } => {
-                self.dispatch_app(now, node, |app, ctx| app.on_timer(ctx, token), sink);
+                self.dispatch_app(now, node, |app, ctx| app.on_timer(ctx, token), queue);
             }
             NetEvent::PortReady { node, port } => {
                 let p = &mut self.nodes[node.0 as usize].ports[port.0 as usize];
                 p.busy = false;
-                self.transmit_next(now, node, port, sink);
+                self.transmit_next(now, node, port, queue);
             }
-            NetEvent::CondPoll(node) => self.poll_conditioner(now, node, sink),
+            NetEvent::CondPoll(node) => self.poll_conditioner(now, node, queue),
             NetEvent::Arrive { node, packet } => {
                 let idx = node.0 as usize;
                 #[cfg(feature = "audit")]
                 self.audit.on_arrive(node);
                 match self.nodes[idx].kind {
-                    NodeKind::Router => self.router_arrive(now, node, packet, sink),
+                    NodeKind::Router => self.router_arrive(now, node, packet, queue),
                     NodeKind::Host { .. } => {
                         let packet = self.pool.take(packet);
                         if packet.dst == node {
@@ -976,7 +788,7 @@ impl<P: 'static> Network<P> {
                                 now,
                                 node,
                                 |app, ctx| app.on_packet(ctx, packet),
-                                sink,
+                                queue,
                             );
                         } else {
                             // A packet washed up at the wrong host: surface
@@ -1001,14 +813,6 @@ impl<P: 'static> Network<P> {
     }
 }
 
-impl<P: 'static> World for Network<P> {
-    type Event = NetEvent;
-
-    fn handle(&mut self, now: SimTime, event: NetEvent, queue: &mut EventQueue<NetEvent>) {
-        self.handle_event(now, event, queue);
-    }
-}
-
 /// A network bundled with its event queue: the convenient top-level runner.
 pub struct Simulation<P> {
     /// The network world.
@@ -1017,7 +821,7 @@ pub struct Simulation<P> {
     pub queue: EventQueue<NetEvent>,
 }
 
-impl<P: Send + 'static> Simulation<P> {
+impl<P: 'static> Simulation<P> {
     /// Wrap a built network and schedule host start events.
     pub fn new(net: Network<P>) -> Self {
         // The paper's grids keep only a few dozen events pending (the
@@ -1034,20 +838,7 @@ impl<P: Send + 'static> Simulation<P> {
     }
 
     /// Run until `horizon` (inclusive).
-    ///
-    /// With `DSV_SHARDS` > 1 (and a topology that yields a safe parallel
-    /// window) the run is delegated to the sharded engine; otherwise —
-    /// and always by default — the serial dispatch loop runs. Both paths
-    /// produce the same statistics and post-run state.
     pub fn run_until(&mut self, horizon: SimTime) -> dsv_sim::engine::RunStats {
-        let shards = crate::shard::shards_from_env();
-        if shards > 1 {
-            if let Some(stats) =
-                crate::shard::run_sharded(&mut self.net, &mut self.queue, horizon, shards)
-            {
-                return stats;
-            }
-        }
         dsv_sim::run_until(&mut self.net, &mut self.queue, horizon)
     }
 

@@ -248,7 +248,7 @@ mod tests {
     use crate::link::Link;
     use crate::network::{NetworkBuilder, Simulation};
 
-    fn run_source(app: Box<dyn Application<()> + Send>) -> crate::stats::FlowCounters {
+    fn run_source(app: Box<dyn Application<()>>) -> crate::stats::FlowCounters {
         let mut b = NetworkBuilder::new();
         let rx = b.add_host("rx", Box::new(CountingSink::default()));
         let r = b.add_router("r");

@@ -25,9 +25,10 @@
 //!
 //! What it deliberately **keeps** (semantic):
 //!
-//! * node declaration order — it fixes `NodeId`s, and ids break event
-//!   ties (`EventStamp` orders same-instant events by origin node), so
-//!   reordering non-identical declarations changes drop attribution;
+//! * node declaration order — it fixes `NodeId`s, and ids fix the order
+//!   in which hosts start and so the scheduling order that breaks
+//!   same-instant event ties; reordering non-identical declarations
+//!   changes drop attribution;
 //! * link declaration order — port order and route tie-breaking follow
 //!   it;
 //! * rule order within one conditioner — first match wins;

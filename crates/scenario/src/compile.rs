@@ -52,7 +52,7 @@ use crate::spec::{
 
 /// A boxed conditioner over the stream payload — the type the compiler
 /// installs and the tap hook wraps.
-pub type BoxConditioner = Box<dyn Conditioner<StreamPayload> + Send>;
+pub type BoxConditioner = Box<dyn Conditioner<StreamPayload>>;
 
 /// Resolves [`crate::spec::MediaRef`]s to encoded clips. The experiment
 /// layer implements this over its memoized artifact store; specs stay
@@ -142,7 +142,7 @@ fn to_limits(l: &LimitsSpec) -> QueueLimits {
     }
 }
 
-fn build_qdisc(q: &QdiscSpec) -> Box<dyn Qdisc<StreamPayload> + Send> {
+fn build_qdisc(q: &QdiscSpec) -> Box<dyn Qdisc<StreamPayload>> {
     match q {
         QdiscSpec::DropTail { limits } => Box::new(DropTailQueue::new(to_limits(limits))),
         QdiscSpec::StrictPriorityEf { ef, be } => Box::new(StrictPriorityQueue::ef_default(
@@ -217,7 +217,7 @@ impl AppBuilder<'_> {
         app: &AppSpec,
         ids: &Resolver<'_>,
         rng: &mut SimRng,
-    ) -> Result<Box<dyn Application<StreamPayload> + Send>, CompileError> {
+    ) -> Result<Box<dyn Application<StreamPayload>>, CompileError> {
         Ok(match app {
             AppSpec::PacedServer {
                 client,
@@ -393,17 +393,34 @@ impl AppBuilder<'_> {
                 dscp,
                 stop_at_us,
                 rng_fork,
-            } => Box::new(OnOffSource::new(
-                ids.get(dst)?,
-                FlowId(*flow),
-                *packet_size,
-                *peak_rate_bps,
-                SimDuration::from_micros(*mean_on_us),
-                SimDuration::from_micros(*mean_off_us),
-                dscp.to_dscp(),
-                SimTime::from_micros(*stop_at_us),
-                rng.fork(*rng_fork),
-            )),
+            } => {
+                // A zero here means a source that never stops sending
+                // empty packets, one whose packets take forever to send,
+                // or an exponential with no mean.
+                for (field, value) in [
+                    ("packet_size", u64::from(*packet_size)),
+                    ("peak_rate_bps", *peak_rate_bps),
+                    ("mean_on_us", *mean_on_us),
+                    ("mean_off_us", *mean_off_us),
+                ] {
+                    if value == 0 {
+                        return Err(CompileError::new(format!(
+                            "on_off_source `{name}` has `{field}` 0; it must be positive"
+                        )));
+                    }
+                }
+                Box::new(OnOffSource::new(
+                    ids.get(dst)?,
+                    FlowId(*flow),
+                    *packet_size,
+                    *peak_rate_bps,
+                    SimDuration::from_micros(*mean_on_us),
+                    SimDuration::from_micros(*mean_off_us),
+                    dscp.to_dscp(),
+                    SimTime::from_micros(*stop_at_us),
+                    rng.fork(*rng_fork),
+                ))
+            }
             AppSpec::CountingSink => Box::new(CountingSink::default()),
             AppSpec::Pump {
                 dst,
@@ -560,6 +577,14 @@ pub fn compile(
                 "link connects `{}` to itself",
                 link.a
             )));
+        }
+        for (dir, params) in [("ab", &link.ab), ("ba", &link.ba)] {
+            if params.rate_bps == 0 {
+                return Err(CompileError::new(format!(
+                    "link `{}`-`{}` has `{dir}.rate_bps` 0: no packet could ever cross it",
+                    link.a, link.b
+                )));
+            }
         }
         peers[a.0 as usize].push(z.0 as usize);
         peers[z.0 as usize].push(a.0 as usize);
@@ -775,6 +800,74 @@ mod tests {
             err.to_string().contains("`island` is not connected"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn example_with_a_zero_rate_link_is_rejected() {
+        for dir in ["ab", "ba"] {
+            let mut spec = policed_chain_example();
+            let bottleneck = &mut spec.links[2];
+            match dir {
+                "ab" => bottleneck.ab.rate_bps = 0,
+                _ => bottleneck.ba.rate_bps = 0,
+            }
+            let err = expect_err(compile(&spec, CompileOptions::default()));
+            assert!(
+                err.to_string()
+                    .contains(&format!("`edge`-`out` has `{dir}.rate_bps` 0")),
+                "{err}"
+            );
+        }
+    }
+
+    /// Zero one field of the example's on-off source and expect the
+    /// compiler to name it.
+    fn assert_on_off_field_rejected(field: &str) {
+        let mut spec = policed_chain_example();
+        let bg = spec
+            .nodes
+            .iter_mut()
+            .find(|n| n.name == "bg")
+            .expect("the example has a `bg` source");
+        let Some(AppSpec::OnOffSource {
+            packet_size,
+            peak_rate_bps,
+            mean_on_us,
+            mean_off_us,
+            ..
+        }) = &mut bg.app
+        else {
+            panic!("`bg` is an on-off source");
+        };
+        match field {
+            "packet_size" => *packet_size = 0,
+            "peak_rate_bps" => *peak_rate_bps = 0,
+            "mean_on_us" => *mean_on_us = 0,
+            "mean_off_us" => *mean_off_us = 0,
+            _ => unreachable!("unknown on-off field {field}"),
+        }
+        let err = expect_err(compile(&spec, CompileOptions::default()));
+        assert!(
+            err.to_string()
+                .contains(&format!("on_off_source `bg` has `{field}` 0")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn example_with_a_zero_peak_rate_is_rejected() {
+        assert_on_off_field_rejected("peak_rate_bps");
+    }
+
+    #[test]
+    fn example_with_a_zero_mean_period_is_rejected() {
+        assert_on_off_field_rejected("mean_on_us");
+        assert_on_off_field_rejected("mean_off_us");
+    }
+
+    #[test]
+    fn example_with_empty_packets_is_rejected() {
+        assert_on_off_field_rejected("packet_size");
     }
 
     #[test]

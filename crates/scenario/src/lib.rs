@@ -5,7 +5,7 @@
 //! measurement taps. This crate makes that shape **data**: a serializable
 //! [`ScenarioSpec`] names its nodes and wires them with links, queue
 //! disciplines, conditioner tables (with named fault taps) and audit
-//! bounds; [`compile`] lowers a spec onto `dsv-net`'s `NetworkBuilder`
+//! bounds; [`compile()`] lowers a spec onto `dsv-net`'s `NetworkBuilder`
 //! with name-based node resolution, so experiment code never touches a
 //! raw `NodeId` and can never break when creation order changes.
 //!
@@ -25,14 +25,12 @@
 pub mod apps;
 pub mod canonical;
 pub mod compile;
-pub mod partition;
 pub mod spec;
 
 pub use canonical::{canonicalize, flow_counterparts, Canonical};
 pub use compile::{
     compile, BoxConditioner, ClipStore, CompileError, CompileOptions, CompiledScenario,
 };
-pub use partition::{shard_plan, ShardPlan};
 pub use spec::{
     ActionSpec, AppSpec, BoundSpec, ClipId2, CodecSpec, ConditionerSpec, CrossTrafficSpec,
     DscpSpec, LimitsSpec, LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, ProtoSpec,

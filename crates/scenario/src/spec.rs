@@ -5,7 +5,7 @@
 //! none), links with per-direction rates and queue disciplines,
 //! conditioner tables with named fault taps, and measurement bounds for
 //! the audit oracles. Every cross-reference is **by node name**, never by
-//! `NodeId` — the compiler ([`crate::compile`]) assigns ids positionally
+//! `NodeId` — the compiler ([`crate::compile()`]) assigns ids positionally
 //! and resolves names, so specs cannot break when creation order changes.
 //!
 //! All types serialize to the vendored serde's canonical JSON (object

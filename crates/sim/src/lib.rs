@@ -39,12 +39,10 @@ pub mod engine;
 pub mod env;
 pub mod queue;
 pub mod rng;
-pub mod stamped;
 pub mod time;
 mod wheel;
 
 pub use engine::{run, run_until, World};
 pub use queue::{EventQueue, QueueBackend};
 pub use rng::SimRng;
-pub use stamped::{EventStamp, StampedQueue};
 pub use time::{SimDuration, SimTime};

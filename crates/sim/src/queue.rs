@@ -9,9 +9,9 @@
 //! Two interchangeable backends implement that contract:
 //!
 //! * [`QueueBackend::Wheel`] (default) — a hierarchical timing wheel
-//!   (see [`crate::wheel`]): `O(1)` schedule, amortized `O(1)` pop, no
-//!   per-event comparisons through a heap. This is the fast path for the
-//!   simulator's workload of densely clustered near-future events.
+//!   (see the private `wheel` module): `O(1)` schedule, amortized `O(1)`
+//!   pop, no per-event comparisons through a heap. This is the fast path
+//!   for the simulator's workload of densely clustered near-future events.
 //! * [`QueueBackend::Heap`] — the original binary heap of
 //!   `(time, seq, event)` triples, kept as a independently-correct oracle
 //!   and selectable at runtime with `DSV_QUEUE=heap`.
@@ -54,39 +54,38 @@ impl QueueBackend {
     }
 }
 
-/// Heap adapter shared with [`crate::stamped::StampedQueue`]: inverts the
-/// `(time, key)` order so `BinaryHeap` (a max-heap) pops the earliest
-/// entry first.
-pub(crate) struct HeapEntry<E, K>(pub(crate) Entry<E, K>);
+/// Heap adapter: inverts the `(time, seq)` order so `BinaryHeap` (a
+/// max-heap) pops the earliest entry first.
+struct HeapEntry<E>(Entry<E>);
 
-impl<E, K: Ord> PartialEq for HeapEntry<E, K> {
+impl<E> PartialEq for HeapEntry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.key == other.0.key
+        self.0.at == other.0.at && self.0.seq == other.0.seq
     }
 }
-impl<E, K: Ord> Eq for HeapEntry<E, K> {}
+impl<E> Eq for HeapEntry<E> {}
 
-impl<E, K: Ord> PartialOrd for HeapEntry<E, K> {
+impl<E> PartialOrd for HeapEntry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E, K: Ord> Ord for HeapEntry<E, K> {
+impl<E> Ord for HeapEntry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, key) pops
+        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
         // first.
         other
             .0
             .at
             .cmp(&self.0.at)
-            .then_with(|| other.0.key.cmp(&self.0.key))
+            .then_with(|| other.0.seq.cmp(&self.0.seq))
     }
 }
 
 enum Backend<E> {
-    Wheel(Wheel<E, u64>),
-    Heap(BinaryHeap<HeapEntry<E, u64>>),
+    Wheel(Wheel<E>),
+    Heap(BinaryHeap<HeapEntry<E>>),
 }
 
 /// A time-ordered queue of events of type `E` with stable FIFO tie-breaking.
@@ -175,11 +174,7 @@ impl<E> EventQueue<E> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry {
-            at,
-            key: seq,
-            event,
-        };
+        let entry = Entry { at, seq, event };
         match &mut self.backend {
             Backend::Wheel(w) => w.schedule(entry),
             Backend::Heap(h) => h.push(HeapEntry(entry)),
@@ -274,18 +269,6 @@ impl<E> EventQueue<E> {
     /// Total number of events ever scheduled (diagnostic).
     pub fn scheduled_count(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Declare that virtual time has reached `now` without popping an
-    /// event: the watermark — the causality floor and the queue's notion
-    /// of [`EventQueue::now`] — advances to `max(watermark, now)`. The
-    /// sharded engine uses this after reassembling leftover events into a
-    /// fresh queue, so a later `run_for` measures its span from the same
-    /// instant a serial run would have reached.
-    pub fn advance_to(&mut self, now: SimTime) {
-        if now > self.watermark {
-            self.watermark = now;
-        }
     }
 
     /// Largest number of simultaneously pending events ever observed.
