@@ -81,9 +81,13 @@ echo "==> cluster regeneration gate (exact mode vs clustering off, cache off)"
 # Exact clustering's contract is byte-identity: the committed figures must
 # regenerate bit-for-bit both with the cluster pre-pass on (the default)
 # and with every point individually simulated.
+# One figure per family the engine serves: qbone, local, aggregate,
+# smoothing and AF-TCP.
 for mode in exact off; do
   DSV_CLUSTER=$mode DSV_CACHE=off ./target/release/fig07_qbone_lost > /dev/null
+  DSV_CLUSTER=$mode DSV_CACHE=off ./target/release/fig15_local_testbed > /dev/null
   DSV_CLUSTER=$mode DSV_CACHE=off ./target/release/fig16_aggregate > /dev/null
+  DSV_CLUSTER=$mode DSV_CACHE=off ./target/release/fig17_tcp_smoothing > /dev/null
   DSV_CLUSTER=$mode DSV_CACHE=off ./target/release/fig18_af_tcp > /dev/null
   git diff --exit-code -- results/
 done

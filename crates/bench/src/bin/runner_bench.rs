@@ -186,203 +186,12 @@ fn main() {
         dsv_bench::emit_json("BENCH_sweep", &report);
     }
 
-    cluster_bench(threads, smoke);
-
     qoe_bench(&base, &rates, &depths, points, label, smoke);
 
     #[cfg(feature = "audit")]
     audit_overhead(&base, &rates, &depths, points, label, &json_shared, smoke);
 
     let _ = std::fs::remove_dir_all(&cache);
-}
-
-/// Prices the symmetry-cluster layer on the two sweeps it targets.
-///
-/// * The **aggregate declaration-order fairness sweep** (every committed
-///   aggregate config re-declared at each distinct rotation) is where
-///   exact clustering earns its keep: rotations are provable permutation
-///   symmetries, so the clustered run simulates one representative per
-///   class — at least 2× fewer simulations than the unclustered run —
-///   while the transplanted outcomes stay byte-identical.
-/// * The **dense QBone rate grid** is the honest counterpoint: its
-///   points are all semantically distinct, so exact mode saves nothing
-///   (recorded as `reduction 1.0×`), and `approx:<eps>` is the lever
-///   that skips simulations there, with per-point error bounds recorded
-///   in the provenance.
-fn cluster_bench(threads: usize, smoke: bool) {
-    #[derive(Serialize)]
-    struct AggregateClusterReport {
-        members: usize,
-        full_simulated: usize,
-        clustered_simulated: usize,
-        simulation_reduction: f64,
-        full_secs: f64,
-        clustered_secs: f64,
-        wall_clock_speedup: f64,
-        byte_identical: bool,
-    }
-
-    #[derive(Serialize)]
-    struct QboneClusterReport {
-        grid_points: usize,
-        exact_simulated: usize,
-        exact_reduction: f64,
-        approx_eps: f64,
-        approx_simulated: usize,
-        approx_interpolated: usize,
-        approx_simulation_reduction: f64,
-        approx_max_quality_bound: f64,
-        approx_max_loss_bound: f64,
-    }
-
-    #[derive(Serialize)]
-    struct ClusterReport {
-        threads: usize,
-        aggregate_rotation_sweep: AggregateClusterReport,
-        qbone_rate_grid: QboneClusterReport,
-    }
-
-    // The aggregate fairness sweep: the committed findings grid, each
-    // config re-declared at every distinct rotation (capped at 4 so the
-    // N = 8 rows stay affordable).
-    let enc = 1_000_000u64;
-    let (depths, flows, fractions): (Vec<u32>, Vec<u32>, Vec<f64>) = if smoke {
-        (vec![DEPTH_2MTU], vec![1, 2], vec![1.0, 1.4])
-    } else {
-        (
-            vec![DEPTH_2MTU, DEPTH_3MTU],
-            vec![1, 2, 4, 8],
-            vec![0.9, 1.0, 1.1, 1.25, 1.4],
-        )
-    };
-    let mut sweep: Vec<AggregateConfig> = Vec::new();
-    for &depth in &depths {
-        for &n in &flows {
-            for &frac in &fractions {
-                let rate = (enc as f64 * n as f64 * frac) as u64;
-                let cfg = AggregateConfig::new(ClipId2::Lost, enc, n, EfProfile::new(rate, depth));
-                for rot in 0..n.min(4) {
-                    sweep.push(cfg.clone().with_rotation(rot));
-                }
-            }
-        }
-    }
-    let members = sweep.len();
-    println!("\ncluster layer (threaded, no result cache):");
-
-    let full_runner = Runner::serial().with_threads(threads);
-    let t0 = Instant::now();
-    let full = full_runner.run_aggregate_batch(&sweep);
-    let full_secs = t0.elapsed().as_secs_f64();
-    let clustered_runner = full_runner.clone().with_cluster(ClusterMode::Exact);
-    let t0 = Instant::now();
-    let clustered = clustered_runner.run_aggregate_clustered(&sweep);
-    let clustered_secs = t0.elapsed().as_secs_f64();
-    let clustered_sims = clustered.iter().filter(|p| p.source.is_direct()).count();
-    assert_eq!(
-        serde_json::to_string(&full).expect("serialize"),
-        serde_json::to_string(
-            &clustered
-                .iter()
-                .map(|p| p.outcome.clone())
-                .collect::<Vec<_>>()
-        )
-        .expect("serialize"),
-        "clustered aggregate sweep must match the full run byte for byte"
-    );
-    let reduction = members as f64 / clustered_sims.max(1) as f64;
-    println!(
-        "  aggregate rotation sweep: {members} members, {clustered_sims} simulated \
-         ({reduction:.2}× fewer), {full_secs:.2} s full → {clustered_secs:.2} s clustered \
-         ({:.2}× wall clock), byte-identical ✓",
-        full_secs / clustered_secs.max(1e-9),
-    );
-    if !smoke {
-        assert!(
-            reduction >= 2.0,
-            "the fairness sweep must cluster at least 2×, got {reduction:.2}"
-        );
-    }
-    let aggregate_report = AggregateClusterReport {
-        members,
-        full_simulated: members,
-        clustered_simulated: clustered_sims,
-        simulation_reduction: reduction,
-        full_secs,
-        clustered_secs,
-        wall_clock_speedup: full_secs / clustered_secs.max(1e-9),
-        byte_identical: true,
-    };
-
-    // The dense QBone rate grid: exact mode finds nothing to merge
-    // (recorded honestly), approx trades bounded error for skipped
-    // simulations.
-    let qenc = 1_000_000u64;
-    let qbase = QboneConfig::new(ClipId2::Lost, qenc, EfProfile::new(qenc, DEPTH_2MTU));
-    let steps = if smoke { 8 } else { 64 };
-    let jobs: Vec<Job> = default_rate_grid(qenc, steps)
-        .into_iter()
-        .map(|rate| {
-            let mut cfg = qbase.clone();
-            cfg.profile = EfProfile::new(rate, DEPTH_2MTU);
-            Job::Qbone(cfg)
-        })
-        .collect();
-    let exact = clustered_runner.run_clustered(&jobs);
-    let exact_sims = exact.iter().filter(|p| p.source.is_direct()).count();
-    let eps = 0.05;
-    let approx = full_runner
-        .clone()
-        .with_cluster(ClusterMode::Approx(eps))
-        .run_clustered(&jobs);
-    let approx_sims = approx.iter().filter(|p| p.source.is_direct()).count();
-    let mut max_quality_bound = 0.0f64;
-    let mut max_loss_bound = 0.0f64;
-    let mut interpolated = 0usize;
-    for p in &approx {
-        if let PointSource::Interpolated { ref bound, .. } = p.source {
-            interpolated += 1;
-            max_quality_bound = max_quality_bound.max(bound.quality);
-            max_loss_bound = max_loss_bound.max(bound.frame_loss.max(bound.packet_loss));
-        }
-    }
-    println!(
-        "  qbone {steps}-point rate grid: exact simulates {exact_sims} \
-         ({:.2}× — nothing symmetric to merge), approx:{eps} simulates {approx_sims} \
-         ({interpolated} interpolated, worst bounds: quality {max_quality_bound:.3}, \
-         loss {max_loss_bound:.3})",
-        jobs.len() as f64 / exact_sims.max(1) as f64,
-    );
-    let report = ClusterReport {
-        threads,
-        aggregate_rotation_sweep: aggregate_report,
-        qbone_rate_grid: QboneClusterReport {
-            grid_points: jobs.len(),
-            exact_simulated: exact_sims,
-            exact_reduction: jobs.len() as f64 / exact_sims.max(1) as f64,
-            approx_eps: eps,
-            approx_simulated: approx_sims,
-            approx_interpolated: interpolated,
-            approx_simulation_reduction: jobs.len() as f64 / approx_sims.max(1) as f64,
-            approx_max_quality_bound: max_quality_bound,
-            approx_max_loss_bound: max_loss_bound,
-        },
-    };
-    if smoke {
-        let path =
-            std::env::temp_dir().join(format!("BENCH_cluster-smoke-{}.json", std::process::id()));
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&report).expect("serialize"),
-        )
-        .expect("write smoke cluster report");
-        println!("[smoke cluster report written {}]", path.display());
-        let _ = std::fs::remove_file(&path);
-    } else if cfg!(feature = "audit") {
-        println!("[audit build: BENCH_cluster baseline left untouched]");
-    } else {
-        dsv_bench::emit_json("BENCH_cluster", &report);
-    }
 }
 
 /// Prices the QoE estimator fast path (DESIGN.md §12): the same serial,

@@ -884,14 +884,11 @@ pub fn ablation_multirate() {
 /// to the accumulation of larger bursts as the EF traffic traverses
 /// multiple hops".
 pub fn ablation_hop_jitter() {
-    use dsv_core::artifacts::ArtifactStore;
-    use dsv_net::prelude::*;
+    use dsv_core::experiment::simulate;
     use dsv_scenario::{
-        compile, ActionSpec, AppSpec, ClipId2, CodecSpec, CompileOptions, ConditionerSpec,
-        DscpSpec, LimitsSpec, LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec,
-        RuleSpec, ScenarioSpec, TransportSpec,
+        ActionSpec, AppSpec, ClipId2, CodecSpec, ConditionerSpec, DscpSpec, LimitsSpec, LinkParams,
+        LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec, TransportSpec,
     };
-    use dsv_sim::SimTime;
 
     println!("Ablation: EF delay/jitter vs hop count (BE cross load at every hop)\n");
     #[derive(Serialize)]
@@ -1007,23 +1004,14 @@ pub fn ablation_hop_jitter() {
         });
         spec.horizon_ns = Some(110 * 1_000_000_000);
 
-        let compiled = compile(
-            &spec,
-            CompileOptions {
-                store: Some(&ArtifactStore),
-                wrap: None,
-            },
-        )
-        .expect("hop-jitter spec compiles");
-        let ch = compiled
+        let run = simulate(&spec).expect("hop-jitter spec compiles");
+        let media = run.sim.net.stats.flow(dsv_core::qbone::MEDIA_FLOW);
+        let rep = run
+            .compiled
             .sole_client()
             .expect("hop-jitter spec binds one client")
-            .clone();
-        let horizon = compiled.horizon.expect("hop-jitter spec sets a horizon");
-        let mut sim = Simulation::new(compiled.net);
-        sim.run_until(SimTime::ZERO + horizon);
-        let media = sim.net.stats.flow(dsv_core::qbone::MEDIA_FLOW);
-        let rep = ch.borrow().report();
+            .borrow()
+            .report();
         let p50 = media
             .delay_hist
             .quantile(0.50)

@@ -339,12 +339,6 @@ pub fn stream_spec(cfg: &StreamChainConfig) -> ScenarioSpec {
 /// Stream a real clip through a faultable router and report how the
 /// client's playback model coped.
 pub fn run_stream_chain(cfg: &StreamChainConfig) -> StreamOutcome {
-    dsv_core::artifacts::encoding(
-        cfg.clip,
-        dsv_core::artifacts::Codec::Mpeg1,
-        cfg.encoding_bps,
-    );
-
     let spec = stream_spec(cfg);
     let wrap = |tap: &str, inner: BoxConditioner| cfg.plan.wrap(tap, inner);
     let compiled = compile(

@@ -20,20 +20,16 @@
 //! exact relabelling the cluster layer collapses (the same symmetry
 //! contract as [`crate::aggregate`]).
 
-use std::time::Instant;
-
-use dsv_net::network::Simulation;
 use dsv_net::packet::{DropReason, FlowId};
 use dsv_scenario::{
-    compile, ActionSpec, AppSpec, CompileOptions, ConditionerSpec, DscpSpec, LinkParams, LinkSpec,
-    MatchSpec, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec,
+    ActionSpec, AppSpec, ConditionerSpec, DscpSpec, LinkParams, LinkSpec, MatchSpec, NodeSpec,
+    QdiscSpec, RuleSpec, ScenarioSpec,
 };
-use dsv_sim::{SimDuration, SimTime};
+use dsv_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use crate::artifacts::ArtifactStore;
+use crate::experiment::{simulate, SimRun};
 use crate::flows::{FlowOutcome, FlowsOutcome};
-use crate::profile;
 
 /// Base flow id of sink→sender ACK traffic (flow `1000 + i` for pair
 /// `i`); data flows are `1 + i` — the same labelling as
@@ -240,52 +236,32 @@ pub fn af_tcp_spec(cfg: &AfTcpConfig) -> ScenarioSpec {
 /// (flow `1 + i` at index `i`, whatever position the rotation declared
 /// it at).
 pub fn run_af_tcp(cfg: &AfTcpConfig) -> FlowsOutcome {
-    let spec = af_tcp_spec(cfg);
-    let compiled = compile(
-        &spec,
-        CompileOptions {
-            store: Some(&ArtifactStore),
-            wrap: None,
-        },
+    score_af_tcp(
+        cfg,
+        simulate(&af_tcp_spec(cfg)).expect("af_tcp spec compiles"),
     )
-    .expect("af_tcp spec compiles");
+}
+
+/// Report every pair of a finished run of [`af_tcp_spec`]`(cfg)`.
+pub(crate) fn score_af_tcp(cfg: &AfTcpConfig, run: SimRun) -> FlowsOutcome {
+    let sinks = &run.compiled.bulk_sinks;
     assert_eq!(
-        compiled.bulk_sinks.len(),
+        sinks.len(),
         cfg.flows() as usize,
         "one sink handle per pair"
     );
-    let sinks: Vec<_> = (0..cfg.flows())
+    let span = SimDuration::from_micros(cfg.duration_us);
+    let per_flow = (0..cfg.flows())
         .map(|i| {
             let name = format!("sink-{i}");
-            compiled
-                .bulk_sinks
+            let delivered = sinks
                 .iter()
                 .find(|(n, _)| *n == name)
-                .map(|(_, h)| h.clone())
                 .expect("every pair label has a sink")
-        })
-        .collect();
-    let horizon = compiled.horizon.expect("af_tcp spec sets a horizon");
-    let bounds = compiled.bounds.clone();
-
-    let mut sim = Simulation::new(compiled.net);
-    // No admission bounds here (the meters re-mark, never drop), but the
-    // lifecycle oracles still arm under DSV_AUDIT=1.
-    crate::auditing::arm(&mut sim, &bounds);
-    let t_sim = Instant::now();
-    let stats = sim.run_until(SimTime::ZERO + horizon);
-    profile::add_simulate(t_sim.elapsed(), stats.dispatched);
-    profile::record_high_water(sim.queue.high_water(), sim.net.pool_high_water());
-    crate::auditing::finish(&mut sim, "af_tcp run");
-
-    let span = SimDuration::from_micros(cfg.duration_us);
-    let per_flow = sinks
-        .iter()
-        .enumerate()
-        .map(|(i, handle)| {
-            let i = i as u32;
-            let delivered = handle.borrow().delivered();
-            let counters = sim.net.stats.flow(AfTcpConfig::media_flow(i));
+                .1
+                .borrow()
+                .delivered();
+            let counters = run.sim.net.stats.flow(AfTcpConfig::media_flow(i));
             FlowOutcome {
                 target_bps: cfg.targets_bps[cfg.position_of(i)],
                 // Goodput over unique in-order bytes the sink accepted,

@@ -15,22 +15,16 @@
 //! spec compiler resolves nodes by name, the N-flow variant is a loop
 //! over names, not a re-derivation of creation-order ids.
 
-use std::time::Instant;
-
 use dsv_media::scene::ClipId;
-use dsv_net::network::Simulation;
 use dsv_net::packet::FlowId;
 use dsv_scenario::{
-    compile, ActionSpec, AppSpec, BoundSpec, CompileOptions, ConditionerSpec, DscpSpec, LimitsSpec,
-    LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec,
-    TransportSpec,
+    ActionSpec, AppSpec, BoundSpec, ConditionerSpec, DscpSpec, LimitsSpec, LinkParams, LinkSpec,
+    MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec, TransportSpec,
 };
-use dsv_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
-use crate::artifacts::{self, ArtifactStore, Codec};
-use crate::experiment::{run_horizon, EfProfile, RunOutcome};
-use crate::profile;
+use crate::artifacts::{self, Codec};
+use crate::experiment::{run_horizon, simulate, EfProfile, RunOutcome, SimRun};
 use crate::qbone::{ClipId2, CodecSpec};
 
 /// Base flow id of client→server control traffic (flow `1000 + i` for
@@ -279,25 +273,22 @@ pub fn media_flow_ranks(canon: &dsv_scenario::Canonical, flows: u32) -> Vec<usiz
     rank
 }
 
-/// Reorder a label-indexed outcome into canonical order (`canon[rank[i]]
-/// = per_flow[i]`).
-pub fn to_canonical_order(out: &AggregateOutcome, rank: &[usize]) -> AggregateOutcome {
-    let mut per_flow = out.per_flow.clone();
-    for (i, f) in out.per_flow.iter().enumerate() {
-        per_flow[rank[i]] = f.clone();
+/// Reorder label-indexed per-flow items into canonical order
+/// (`canon[rank[i]] = items[i]`). Every per-flow outcome shape — this
+/// module's and [`crate::flows::FlowsOutcome`] — bridges symmetry classes
+/// through this pair.
+pub fn to_canonical_order<T: Clone>(items: &[T], rank: &[usize]) -> Vec<T> {
+    let mut canon = items.to_vec();
+    for (i, item) in items.iter().enumerate() {
+        canon[rank[i]] = item.clone();
     }
-    AggregateOutcome { per_flow }
+    canon
 }
 
-/// Reorder a canonical-order outcome back into this config's flow-label
-/// order (`per_flow[i] = canon[rank[i]]`).
-pub fn from_canonical_order(canon_out: &AggregateOutcome, rank: &[usize]) -> AggregateOutcome {
-    AggregateOutcome {
-        per_flow: rank
-            .iter()
-            .map(|&p| canon_out.per_flow[p].clone())
-            .collect(),
-    }
+/// Reorder canonical-order items back into a config's flow-label order
+/// (`items[i] = canon[rank[i]]`).
+pub fn from_canonical_order<T: Clone>(canon: &[T], rank: &[usize]) -> Vec<T> {
+    rank.iter().map(|&p| canon[p].clone()).collect()
 }
 
 /// Run one aggregate session and score every flow.
@@ -310,69 +301,47 @@ pub fn run_aggregate(cfg: &AggregateConfig) -> AggregateOutcome {
 pub fn run_aggregate_detailed(
     cfg: &AggregateConfig,
 ) -> (AggregateOutcome, Vec<dsv_stream::client::ClientReport>) {
-    let clip_id: ClipId = cfg.clip.into();
-    let t_artifacts = Instant::now();
-    artifacts::encoding(clip_id, Codec::Mpeg1, cfg.encoding_bps);
-    profile::add_encode(t_artifacts.elapsed());
-
-    let spec = aggregate_spec(cfg);
-    let compiled = compile(
-        &spec,
-        CompileOptions {
-            store: Some(&ArtifactStore),
-            wrap: None,
-        },
+    score_aggregate(
+        cfg,
+        simulate(&aggregate_spec(cfg)).expect("aggregate spec compiles"),
     )
-    .expect("aggregate spec compiles");
+}
+
+/// Score every flow of a finished run of [`aggregate_spec`]`(cfg)`.
+pub(crate) fn score_aggregate(
+    cfg: &AggregateConfig,
+    run: SimRun,
+) -> (AggregateOutcome, Vec<dsv_stream::client::ClientReport>) {
+    let clip_id: ClipId = cfg.clip.into();
+    let clients = &run.compiled.clients;
     assert_eq!(
-        compiled.clients.len(),
+        clients.len(),
         cfg.flows as usize,
         "one client handle per flow"
     );
+    // Every flow scores against the same shared source/reference
+    // features — one encode, N scores.
+    let source = artifacts::source_features(clip_id);
+    let reference = artifacts::reference_features(clip_id, Codec::Mpeg1, cfg.encoding_bps);
     // Outcomes are reported per flow *label* (flow `1 + i` at index
     // `i`), whatever declaration position the rotation put the pair at —
     // the compiler hands clients back by node name, so look each one up.
-    let clients: Vec<_> = (0..cfg.flows)
+    let (per_flow, reports) = (0..cfg.flows)
         .map(|i| {
             let name = format!("client-{i}");
-            compiled
-                .clients
+            let report = clients
                 .iter()
                 .find(|(n, _)| *n == name)
-                .map(|(_, h)| h.clone())
                 .expect("every pair label has a client")
-        })
-        .collect();
-    let horizon = compiled.horizon.expect("aggregate spec sets a horizon");
-    let bounds = compiled.bounds.clone();
-
-    let mut sim = Simulation::new(compiled.net);
-    crate::auditing::arm(&mut sim, &bounds);
-    let t_sim = Instant::now();
-    let stats = sim.run_until(SimTime::ZERO + horizon);
-    profile::add_simulate(t_sim.elapsed(), stats.dispatched);
-    profile::record_high_water(sim.queue.high_water(), sim.net.pool_high_water());
-    crate::auditing::finish(&mut sim, "aggregate run");
-
-    // Every flow scores against the same shared source/reference
-    // features — one encode, N scores.
-    let t_features = Instant::now();
-    let source = artifacts::source_features(clip_id);
-    let reference = artifacts::reference_features(clip_id, Codec::Mpeg1, cfg.encoding_bps);
-    profile::add_encode(t_features.elapsed());
-    let t_score = Instant::now();
-    let (per_flow, reports) = clients
-        .iter()
-        .enumerate()
-        .map(|(i, handle)| {
-            let report = handle.borrow().report();
-            let media = sim.net.stats.flow(AggregateConfig::media_flow(i as u32));
+                .1
+                .borrow()
+                .report();
+            let media = run.sim.net.stats.flow(AggregateConfig::media_flow(i));
             let score = crate::qoe::score_session(&source, &reference, &report, None);
             let outcome = RunOutcome::assemble(&report, &media, &score, 0, 0, false);
             (outcome, report)
         })
         .unzip();
-    profile::add_score(t_score.elapsed());
     (AggregateOutcome { per_flow }, reports)
 }
 
@@ -516,7 +485,9 @@ mod tests {
                 })
                 .collect(),
         };
-        let back = from_canonical_order(&to_canonical_order(&out, &rank3), &rank3);
+        let back = AggregateOutcome {
+            per_flow: from_canonical_order(&to_canonical_order(&out.per_flow, &rank3), &rank3),
+        };
         assert_eq!(
             serde_json::to_string(&back).unwrap(),
             serde_json::to_string(&out).unwrap()

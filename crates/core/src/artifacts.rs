@@ -16,18 +16,25 @@
 //! changes require a process restart (just like `results/cache/` requires
 //! a `DSV_CACHE=0` rerun after simulator changes).
 //!
-//! `DSV_SHARE=0` disables sharing (every call recomputes), which is how
-//! the macro-bench measures the honest before/after; the per-key encode
-//! counters are always on so tests can assert the at-most-once property.
+//! Every computation (a memo miss) is timed into the profile's encode
+//! stage right here, so callers never bracket artifact work themselves:
+//! an encode first asked for by the scenario compiler, by scoring or by
+//! a warm-up is billed to encode all the same. [`force_sharing`] turns
+//! sharing off for one scope (every call recomputes), which is how the
+//! determinism tests compare shared against unshared output; the
+//! per-key encode counters are always on so tests can assert the
+//! at-most-once property.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 use dsv_media::encoder::{mpeg1, wmv, EncodedClip};
 use dsv_media::features::FeatureFrame;
 use dsv_media::scene::{ClipId, SceneModel};
 
 use crate::experiment::encoded_features;
+use crate::profile;
 
 /// Which encoder produced an artifact (part of the memo key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,8 +65,14 @@ impl<K: std::hash::Hash + Eq + Clone, V> Memo<K, V> {
     }
 
     fn get_or(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
+        let timed = || {
+            let t = Instant::now();
+            let value = Arc::new(compute());
+            profile::add_encode(t.elapsed());
+            value
+        };
         if !sharing_enabled() {
-            return Arc::new(compute());
+            return timed();
         }
         let cell = {
             let mut map = self.map.lock().expect("artifact store poisoned");
@@ -68,7 +81,7 @@ impl<K: std::hash::Hash + Eq + Clone, V> Memo<K, V> {
                 .or_default()
                 .clone()
         };
-        cell.get_or_init(|| Arc::new(compute())).clone()
+        cell.get_or_init(timed).clone()
     }
 
     fn clear(&self) {
@@ -108,16 +121,13 @@ pub fn encode_runs(clip: ClipId, codec: Codec, rate_bps: u64) -> u64 {
         .unwrap_or(0)
 }
 
-/// Sharing switch: on unless `DSV_SHARE=0` (or a test override is live).
+/// Sharing switch: on unless a [`force_sharing`] scope turned it off.
 fn sharing_enabled() -> bool {
-    match SHARING_OVERRIDE
+    SHARING_OVERRIDE
         .lock()
         .expect("sharing override poisoned")
         .1
-    {
-        Some(forced) => forced,
-        None => std::env::var("DSV_SHARE").map_or(true, |v| v.trim() != "0"),
-    }
+        .unwrap_or(true)
 }
 
 /// (guard-holder marker, forced value). The marker mutex serializes test

@@ -16,6 +16,7 @@
 
 use std::process::exit;
 
+use dsv_core::experiment::{simulate, SimRun};
 use dsv_core::prelude::*;
 use serde::Serialize;
 
@@ -139,38 +140,22 @@ struct ScenarioSummary {
 
 /// Compile and run a [`dsv_scenario::ScenarioSpec`] from a JSON file.
 fn run_scenario(path: &str, json: bool) {
-    use dsv_net::network::Simulation;
-    use dsv_scenario::{compile, CompileOptions, ScenarioSpec};
-    use dsv_sim::SimTime;
-
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         exit(2)
     });
-    let spec: ScenarioSpec = serde_json::from_str(&text).unwrap_or_else(|e| {
+    let spec: dsv_scenario::ScenarioSpec = serde_json::from_str(&text).unwrap_or_else(|e| {
         eprintln!("invalid scenario spec {path}: {e}");
         exit(2)
     });
-    let compiled = compile(
-        &spec,
-        CompileOptions {
-            store: Some(&dsv_core::artifacts::ArtifactStore),
-            wrap: None,
-        },
-    )
-    .unwrap_or_else(|e| {
+    let SimRun {
+        sim,
+        compiled,
+        stats,
+    } = simulate(&spec).unwrap_or_else(|e| {
         eprintln!("{e}");
         exit(2)
     });
-
-    let clients = compiled.clients.clone();
-    let sinks = compiled.id_sinks.clone();
-    let horizon = compiled.horizon;
-    let mut sim = Simulation::new(compiled.net);
-    let stats = match horizon {
-        Some(h) => sim.run_until(SimTime::ZERO + h),
-        None => sim.run(),
-    };
 
     let summary = ScenarioSummary {
         scenario: spec.name.clone(),
@@ -188,7 +173,8 @@ fn run_scenario(path: &str, json: bool) {
                 mean_delay_ms: c.delay.mean().as_millis_f64(),
             })
             .collect(),
-        clients: clients
+        clients: compiled
+            .clients
             .iter()
             .map(|(name, h)| {
                 let rep = h.borrow().report();
@@ -200,7 +186,8 @@ fn run_scenario(path: &str, json: bool) {
                 }
             })
             .collect(),
-        sinks: sinks
+        sinks: compiled
+            .id_sinks
             .iter()
             .map(|(name, h)| SinkSummary {
                 node: name.clone(),

@@ -1,14 +1,19 @@
-//! Experiment plumbing shared by both testbeds: configurations, the
-//! outcome record, and the media/VQM glue.
+//! Experiment plumbing shared by every testbed: configurations, the
+//! outcome record, the one simulate step, and the media/VQM glue.
+
+use std::time::Instant;
 
 use dsv_media::encoder::EncodedClip;
 use dsv_media::features::{displayed_stream, encode_features, FeatureFrame};
 use dsv_media::scene::{ClipId, SceneModel};
+use dsv_net::network::{NetworkBuilder, Simulation};
 use dsv_net::stats::FlowCounters;
-use dsv_sim::SimDuration;
+use dsv_scenario::{compile, CompileError, CompileOptions, CompiledScenario, ScenarioSpec};
+use dsv_sim::engine::RunStats;
+use dsv_sim::{SimDuration, SimTime};
 use dsv_stream::client::ClientReport;
+use dsv_stream::payload::StreamPayload;
 use dsv_vqm::qoe::QoeEstimate;
-use dsv_vqm::{Vqm, VqmResult};
 use serde::{Deserialize, Serialize};
 
 /// The EF service profile under test: the paper's two independent
@@ -99,6 +104,63 @@ impl RunOutcome {
     }
 }
 
+/// A scenario compiled and run to its end.
+pub struct SimRun {
+    /// The finished simulation; per-flow counters are in `sim.net.stats`.
+    pub sim: Simulation<StreamPayload>,
+    /// The compiled result handles. Its `net` is an empty stand-in: the
+    /// network itself moved into `sim`.
+    pub compiled: CompiledScenario,
+    /// The event loop's totals.
+    pub stats: RunStats,
+}
+
+/// The one simulate step every testbed, `dsv run` and the ablations share:
+/// compile `spec` against the shared [`crate::artifacts::ArtifactStore`],
+/// build the simulation, arm the audit, run to the spec's horizon (to
+/// quiescence when it declares none), record the run in
+/// [`crate::profile`] and close the audit.
+///
+/// The audit is compiled in by the `audit` feature and armed at run time
+/// by `DSV_AUDIT=1`: every lifecycle oracle checks the run online, plus
+/// the spec's token-bucket admission bounds, and a violation panics with
+/// the full list once the end-of-run conservation equations close.
+pub fn simulate(spec: &ScenarioSpec) -> Result<SimRun, CompileError> {
+    let mut compiled = compile(
+        spec,
+        CompileOptions {
+            store: Some(&crate::artifacts::ArtifactStore),
+            wrap: None,
+        },
+    )?;
+    let net = std::mem::replace(&mut compiled.net, NetworkBuilder::new().build());
+    let mut sim = Simulation::new(net);
+    #[cfg(feature = "audit")]
+    if dsv_net::audit::runtime_enabled() {
+        let audit = sim.net.audit_mut();
+        audit.enable();
+        for &(node, flow, rate_bps, depth_bytes) in &compiled.bounds {
+            audit.register_conformance_bound(node, flow, rate_bps, depth_bytes);
+        }
+    }
+    let horizon = compiled.horizon.map_or(SimTime::MAX, |h| SimTime::ZERO + h);
+    let t_sim = Instant::now();
+    let stats = sim.run_until(horizon);
+    crate::profile::add_simulate(t_sim.elapsed(), stats.dispatched);
+    crate::profile::record_high_water(sim.queue.high_water(), sim.net.pool_high_water());
+    #[cfg(feature = "audit")]
+    if sim.net.audit().enabled() {
+        sim.net.audit_finish();
+        let label = format!("scenario `{}`", spec.name);
+        sim.net.audit().report().assert_clean(&label);
+    }
+    Ok(SimRun {
+        sim,
+        compiled,
+        stats,
+    })
+}
+
 /// The per-frame features a decoder would produce for an encoded clip:
 /// source content degraded by each frame's encoding fidelity. This is the
 /// **reference** stream for same-encoding comparisons and the building
@@ -114,13 +176,8 @@ pub fn encoded_features(model: &SceneModel, clip: &EncodedClip) -> Vec<FeatureFr
 
 /// Build the *received/displayed* feature stream from a client report:
 /// what the emulated renderer put on screen, with each displayed frame
-/// carrying the fidelity it was actually received at.
-pub fn received_features(model: &SceneModel, report: &ClientReport) -> Vec<FeatureFrame> {
-    received_features_from(&model.source_features(), report)
-}
-
-/// [`received_features`] over precomputed source features, so sweep runs
-/// can borrow the shared per-clip artifact instead of regenerating it.
+/// carrying the fidelity it was actually received at. `source` is the
+/// clip's shared source-feature artifact.
 pub fn received_features_from(source: &[FeatureFrame], report: &ClientReport) -> Vec<FeatureFrame> {
     let per_frame: Vec<FeatureFrame> = source
         .iter()
@@ -128,35 +185,6 @@ pub fn received_features_from(source: &[FeatureFrame], report: &ClientReport) ->
         .map(|(i, s)| encode_features(*s, report.fidelity.get(i).copied().unwrap_or(1.0)))
         .collect();
     displayed_stream(&per_frame, &report.playback.displayed)
-}
-
-/// Score a run: same-encoding reference, plus optionally the cross
-/// (1.7 Mbps "best") reference.
-pub fn score_run(
-    model: &SceneModel,
-    clip: &EncodedClip,
-    report: &ClientReport,
-    best_reference: Option<&[FeatureFrame]>,
-) -> (VqmResult, Option<VqmResult>) {
-    let reference = encoded_features(model, clip);
-    score_run_shared(&model.source_features(), &reference, report, best_reference)
-}
-
-/// [`score_run`] over precomputed artifacts: the clip's source features
-/// and the encoding's reference stream both come from the caller (in
-/// sweeps, from [`crate::artifacts`]), so scoring allocates only the
-/// received stream.
-pub fn score_run_shared(
-    source: &[FeatureFrame],
-    reference: &[FeatureFrame],
-    report: &ClientReport,
-    best_reference: Option<&[FeatureFrame]>,
-) -> (VqmResult, Option<VqmResult>) {
-    let vqm = Vqm::default();
-    let received = received_features_from(source, report);
-    let same = vqm.score_streams(reference, &received);
-    let vs_best = best_reference.map(|best| vqm.score_streams(best, &received));
-    (same, vs_best)
 }
 
 /// Standard experiment durations: the clip length plus margin for the
@@ -172,6 +200,7 @@ pub fn run_horizon(clip: ClipId) -> SimDuration {
 mod tests {
     use super::*;
     use dsv_media::encoder::mpeg1;
+    use dsv_vqm::Vqm;
 
     #[test]
     fn encoded_features_cover_clip() {

@@ -9,8 +9,7 @@
 //! Like [`crate::aggregate::AggregateOutcome`], a [`FlowsOutcome`] is
 //! indexed by flow label and bridges symmetry classes through canonical
 //! rank maps, so the runner's cache and exact-cluster transplants work
-//! unchanged (see [`flows_to_canonical_order`] /
-//! [`flows_from_canonical_order`]).
+//! unchanged (see [`crate::aggregate::to_canonical_order`]).
 //!
 //! Because these outcomes are never VQM-scored, the `DSV_QOE` estimator
 //! choice (see [`crate::qoe`]) deliberately does **not** enter a
@@ -101,31 +100,10 @@ impl FlowsOutcome {
     }
 }
 
-/// Reorder a label-indexed outcome into canonical order
-/// (`canon[rank[i]] = per_flow[i]`; see
-/// [`crate::aggregate::media_flow_ranks`]).
-pub fn flows_to_canonical_order(out: &FlowsOutcome, rank: &[usize]) -> FlowsOutcome {
-    let mut per_flow = out.per_flow.clone();
-    for (i, f) in out.per_flow.iter().enumerate() {
-        per_flow[rank[i]] = f.clone();
-    }
-    FlowsOutcome { per_flow }
-}
-
-/// Reorder a canonical-order outcome back into this config's flow-label
-/// order (`per_flow[i] = canon[rank[i]]`).
-pub fn flows_from_canonical_order(canon_out: &FlowsOutcome, rank: &[usize]) -> FlowsOutcome {
-    FlowsOutcome {
-        per_flow: rank
-            .iter()
-            .map(|&p| canon_out.per_flow[p].clone())
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::{from_canonical_order, to_canonical_order};
 
     fn out(n: usize) -> FlowsOutcome {
         FlowsOutcome {
@@ -144,7 +122,9 @@ mod tests {
     fn rank_round_trip_is_identity() {
         let o = out(4);
         let rank = vec![2usize, 0, 3, 1];
-        let back = flows_from_canonical_order(&flows_to_canonical_order(&o, &rank), &rank);
+        let back = FlowsOutcome {
+            per_flow: from_canonical_order(&to_canonical_order(&o.per_flow, &rank), &rank),
+        };
         assert_eq!(
             serde_json::to_string(&back).unwrap(),
             serde_json::to_string(&o).unwrap()

@@ -12,26 +12,29 @@
 //!   job configurations than the test now requests, the checksum guard
 //!   fails loudly instead of returning stale outcomes.
 //!
-//! The checksum is FNV-1a over every job's `(kind, canonical config
-//! JSON)` — the same content-addressing the runner's cache uses — so any
+//! The checksum is FNV-1a over every job's `(kind, config JSON)`, so any
 //! change to a tested configuration (grid points, seeds, profiles)
 //! invalidates the golden by construction.
+//!
+//! One loader body serves every testbed family: [`golden_outcomes`],
+//! [`golden_aggregate`] and [`golden_flows`] differ only in the outcome
+//! type they return.
 
 use std::fs;
 use std::path::PathBuf;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::aggregate::{AggregateConfig, AggregateOutcome};
-use crate::experiment::{EfProfile, RunOutcome};
+use crate::experiment::RunOutcome;
 use crate::flows::FlowsOutcome;
 use crate::keys::fnv1a64;
 use crate::local::LocalConfig;
 use crate::qbone::QboneConfig;
-use crate::runner::{FlowJob, Job, Runner};
-use crate::sweep::{SweepPoint, SweepResult};
+use crate::runner::{local_grid, qbone_grid, FlowJob, GridPoint, Job, Runner};
+use crate::sweep::SweepResult;
 
-/// On-disk format of a golden results file.
+/// On-disk format of a golden results file, whatever the outcome type.
 #[derive(Debug, Serialize, Deserialize)]
 struct GoldenFile {
     /// FNV-1a (hex) over the generating jobs' kinds + config JSON.
@@ -39,7 +42,7 @@ struct GoldenFile {
     /// Number of jobs (redundant with `outcomes.len()`, kept for diffs).
     jobs: usize,
     /// One outcome per job, in job order.
-    outcomes: Vec<RunOutcome>,
+    outcomes: Vec<Value>,
 }
 
 fn results_dir() -> PathBuf {
@@ -54,7 +57,7 @@ fn regen_requested() -> bool {
 }
 
 /// Checksum over the jobs that generate a golden file.
-fn jobs_fnv(jobs: &[Job]) -> String {
+fn config_fnv<P: GridPoint>(jobs: &[P]) -> String {
     let mut bytes = Vec::new();
     for job in jobs {
         bytes.extend_from_slice(job.kind().as_bytes());
@@ -68,23 +71,19 @@ fn jobs_fnv(jobs: &[Job]) -> String {
 /// Outcomes for `jobs`, loaded from `results/<name>.json` when the
 /// committed golden matches, otherwise simulated (and the golden
 /// rewritten). See module docs for the exact rules.
-///
-/// # Panics
-/// Panics if the committed golden was generated from different job
-/// configurations (stale golden) or cannot be parsed — both cases need a
-/// deliberate `DSV_REGEN=1` rerun, never a silent re-bless.
-pub fn golden_outcomes(name: &str, jobs: &[Job]) -> Vec<RunOutcome> {
+fn golden<P: GridPoint>(name: &str, jobs: &[P]) -> Vec<P::Outcome> {
     let path = results_dir().join(format!("{name}.json"));
-    let sum = jobs_fnv(jobs);
+    let sum = config_fnv(jobs);
+    let unreadable = |e: serde::Error| -> ! {
+        panic!(
+            "golden {} is unreadable ({e}); regenerate with DSV_REGEN=1",
+            path.display()
+        )
+    };
 
     if !regen_requested() {
         if let Ok(text) = fs::read_to_string(&path) {
-            let file: GoldenFile = serde_json::from_str(&text).unwrap_or_else(|e| {
-                panic!(
-                    "golden {} is unreadable ({e}); regenerate with DSV_REGEN=1",
-                    path.display()
-                )
-            });
+            let file: GoldenFile = serde_json::from_str(&text).unwrap_or_else(|e| unreadable(e));
             assert_eq!(
                 file.config_fnv,
                 sum,
@@ -101,15 +100,19 @@ pub fn golden_outcomes(name: &str, jobs: &[Job]) -> Vec<RunOutcome> {
                 "golden {}: outcome count mismatch despite matching checksum",
                 path.display()
             );
-            return file.outcomes;
+            return file
+                .outcomes
+                .iter()
+                .map(|v| P::Outcome::from_value(v).unwrap_or_else(|e| unreadable(e)))
+                .collect();
         }
     }
 
-    let outcomes = Runner::from_env().run(jobs);
+    let outcomes = Runner::from_env().outcomes(jobs);
     let file = GoldenFile {
         config_fnv: sum,
         jobs: jobs.len(),
-        outcomes: outcomes.clone(),
+        outcomes: outcomes.iter().map(Serialize::to_value).collect(),
     };
     let text = serde_json::to_string_pretty(&file).expect("golden serializes");
     if let Some(parent) = path.parent() {
@@ -122,30 +125,14 @@ pub fn golden_outcomes(name: &str, jobs: &[Job]) -> Vec<RunOutcome> {
     outcomes
 }
 
-/// Assemble sweep points from outcomes in the runner's (depth-major)
-/// grid order — the same zip [`crate::runner::Runner::qbone_sweep`] uses.
-fn assemble_sweep(
-    outcomes: Vec<RunOutcome>,
-    rates: &[u64],
-    depths: &[u32],
-    label: &str,
-) -> SweepResult {
-    let points = depths
-        .iter()
-        .flat_map(|&depth| rates.iter().map(move |&rate| (rate, depth)))
-        .zip(outcomes)
-        .map(
-            |((token_rate_bps, bucket_depth_bytes), outcome)| SweepPoint {
-                token_rate_bps,
-                bucket_depth_bytes,
-                outcome,
-            },
-        )
-        .collect();
-    SweepResult {
-        label: label.to_string(),
-        points,
-    }
+/// Golden-backed outcomes for `jobs` (see module docs).
+///
+/// # Panics
+/// Panics if the committed golden was generated from different job
+/// configurations (stale golden) or cannot be parsed — both cases need a
+/// deliberate `DSV_REGEN=1` rerun, never a silent re-bless.
+pub fn golden_outcomes(name: &str, jobs: &[Job]) -> Vec<RunOutcome> {
+    golden(name, jobs)
 }
 
 /// A golden-backed QBone sweep: the same `rates × depths` grid
@@ -158,15 +145,8 @@ pub fn golden_qbone_sweep(
     depths: &[u32],
     label: &str,
 ) -> SweepResult {
-    let mut jobs = Vec::with_capacity(rates.len() * depths.len());
-    for &depth in depths {
-        for &rate in rates {
-            let mut cfg = base.clone();
-            cfg.profile = EfProfile::new(rate, depth);
-            jobs.push(Job::Qbone(cfg));
-        }
-    }
-    assemble_sweep(golden_outcomes(name, &jobs), rates, depths, label)
+    let jobs = qbone_grid(base, rates, depths);
+    SweepResult::assemble(golden_outcomes(name, &jobs), rates, depths, label)
 }
 
 /// A golden-backed local-testbed sweep (see [`golden_qbone_sweep`]).
@@ -177,174 +157,28 @@ pub fn golden_local_sweep(
     depths: &[u32],
     label: &str,
 ) -> SweepResult {
-    let mut jobs = Vec::with_capacity(rates.len() * depths.len());
-    for &depth in depths {
-        for &rate in rates {
-            let mut cfg = base.clone();
-            cfg.profile = EfProfile::new(rate, depth);
-            jobs.push(Job::Local(cfg));
-        }
-    }
-    assemble_sweep(golden_outcomes(name, &jobs), rates, depths, label)
+    let jobs = local_grid(base, rates, depths);
+    SweepResult::assemble(golden_outcomes(name, &jobs), rates, depths, label)
 }
 
-/// On-disk format of a golden aggregate-sweep file (same rules as
-/// [`GoldenFile`], different outcome shape).
-#[derive(Debug, Serialize, Deserialize)]
-struct GoldenAggregateFile {
-    /// FNV-1a (hex) over the generating configs' canonical JSON.
-    config_fnv: String,
-    /// Number of configs.
-    jobs: usize,
-    /// One aggregate outcome per config, in config order.
-    outcomes: Vec<AggregateOutcome>,
-}
-
-/// Checksum over the aggregate configs that generate a golden file.
-fn aggregate_fnv(cfgs: &[AggregateConfig]) -> String {
-    let mut bytes = Vec::new();
-    for cfg in cfgs {
-        bytes.extend_from_slice(b"aggregate");
-        bytes.push(0);
-        let json = serde_json::to_string(cfg).expect("config serializes");
-        bytes.extend_from_slice(json.as_bytes());
-        bytes.push(0xff);
-    }
-    format!("{:016x}", fnv1a64(&bytes))
-}
-
-/// Golden-backed EF-aggregate outcomes: the multi-flow analogue of
-/// [`golden_outcomes`], with the same load-else-simulate and staleness
-/// rules over `results/<name>.json`.
+/// Golden-backed EF-aggregate outcomes, under the [`golden_outcomes`]
+/// rules.
 ///
 /// # Panics
 /// Panics on a stale or unreadable golden — regenerate deliberately with
 /// `DSV_REGEN=1`.
 pub fn golden_aggregate(name: &str, cfgs: &[AggregateConfig]) -> Vec<AggregateOutcome> {
-    let path = results_dir().join(format!("{name}.json"));
-    let sum = aggregate_fnv(cfgs);
-
-    if !regen_requested() {
-        if let Ok(text) = fs::read_to_string(&path) {
-            let file: GoldenAggregateFile = serde_json::from_str(&text).unwrap_or_else(|e| {
-                panic!(
-                    "golden {} is unreadable ({e}); regenerate with DSV_REGEN=1",
-                    path.display()
-                )
-            });
-            assert_eq!(
-                file.config_fnv,
-                sum,
-                "stale golden {}: it was generated from different aggregate \
-                 configurations (checksum {} on disk, {} expected). The tested \
-                 grid changed — rerun with DSV_REGEN=1 and commit the result.",
-                path.display(),
-                file.config_fnv,
-                sum
-            );
-            assert_eq!(
-                file.outcomes.len(),
-                cfgs.len(),
-                "golden {}: outcome count mismatch despite matching checksum",
-                path.display()
-            );
-            return file.outcomes;
-        }
-    }
-
-    let outcomes = Runner::from_env().run_aggregate_batch(cfgs);
-    let file = GoldenAggregateFile {
-        config_fnv: sum,
-        jobs: cfgs.len(),
-        outcomes: outcomes.clone(),
-    };
-    let text = serde_json::to_string_pretty(&file).expect("golden serializes");
-    if let Some(parent) = path.parent() {
-        let _ = fs::create_dir_all(parent);
-    }
-    let tmp = path.with_extension("json.tmp");
-    fs::write(&tmp, &text).expect("write golden temp file");
-    fs::rename(&tmp, &path).expect("publish golden file");
-    outcomes
+    golden(name, cfgs)
 }
 
-/// On-disk format of a golden transport-run file (same rules as
-/// [`GoldenFile`], per-flow outcome shape).
-#[derive(Debug, Serialize, Deserialize)]
-struct GoldenFlowsFile {
-    /// FNV-1a (hex) over the generating jobs' kinds + config JSON.
-    config_fnv: String,
-    /// Number of jobs.
-    jobs: usize,
-    /// One per-flow outcome set per job, in job order.
-    outcomes: Vec<FlowsOutcome>,
-}
-
-/// Checksum over the transport jobs that generate a golden file.
-fn flow_jobs_fnv(jobs: &[FlowJob]) -> String {
-    let mut bytes = Vec::new();
-    for job in jobs {
-        bytes.extend_from_slice(job.kind().as_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(job.config_json().as_bytes());
-        bytes.push(0xff);
-    }
-    format!("{:016x}", fnv1a64(&bytes))
-}
-
-/// Golden-backed transport-level outcomes: the [`FlowJob`] analogue of
-/// [`golden_outcomes`], with the same load-else-simulate and staleness
-/// rules over `results/<name>.json`.
+/// Golden-backed transport-level outcomes, under the
+/// [`golden_outcomes`] rules.
 ///
 /// # Panics
 /// Panics on a stale or unreadable golden — regenerate deliberately with
 /// `DSV_REGEN=1`.
 pub fn golden_flows(name: &str, jobs: &[FlowJob]) -> Vec<FlowsOutcome> {
-    let path = results_dir().join(format!("{name}.json"));
-    let sum = flow_jobs_fnv(jobs);
-
-    if !regen_requested() {
-        if let Ok(text) = fs::read_to_string(&path) {
-            let file: GoldenFlowsFile = serde_json::from_str(&text).unwrap_or_else(|e| {
-                panic!(
-                    "golden {} is unreadable ({e}); regenerate with DSV_REGEN=1",
-                    path.display()
-                )
-            });
-            assert_eq!(
-                file.config_fnv,
-                sum,
-                "stale golden {}: it was generated from different job \
-                 configurations (checksum {} on disk, {} expected). The tested \
-                 grid changed — rerun with DSV_REGEN=1 and commit the result.",
-                path.display(),
-                file.config_fnv,
-                sum
-            );
-            assert_eq!(
-                file.outcomes.len(),
-                jobs.len(),
-                "golden {}: outcome count mismatch despite matching checksum",
-                path.display()
-            );
-            return file.outcomes;
-        }
-    }
-
-    let outcomes = Runner::from_env().run_flows_batch(jobs);
-    let file = GoldenFlowsFile {
-        config_fnv: sum,
-        jobs: jobs.len(),
-        outcomes: outcomes.clone(),
-    };
-    let text = serde_json::to_string_pretty(&file).expect("golden serializes");
-    if let Some(parent) = path.parent() {
-        let _ = fs::create_dir_all(parent);
-    }
-    let tmp = path.with_extension("json.tmp");
-    fs::write(&tmp, &text).expect("write golden temp file");
-    fs::rename(&tmp, &path).expect("publish golden file");
-    outcomes
+    golden(name, jobs)
 }
 
 #[cfg(test)]
@@ -368,14 +202,14 @@ mod tests {
             EfProfile::new(1_600_000, DEPTH_3MTU),
         ));
         assert_eq!(
-            jobs_fnv(std::slice::from_ref(&a)),
-            jobs_fnv(std::slice::from_ref(&a))
+            config_fnv(std::slice::from_ref(&a)),
+            config_fnv(std::slice::from_ref(&a))
         );
         assert_ne!(
-            jobs_fnv(std::slice::from_ref(&a)),
-            jobs_fnv(std::slice::from_ref(&b))
+            config_fnv(std::slice::from_ref(&a)),
+            config_fnv(std::slice::from_ref(&b))
         );
-        assert_ne!(jobs_fnv(&[a.clone(), b.clone()]), jobs_fnv(&[b, a]));
+        assert_ne!(config_fnv(&[a.clone(), b.clone()]), config_fnv(&[b, a]));
     }
 
     #[test]
@@ -391,17 +225,14 @@ mod tests {
         c.trtcm = true;
         let c = FlowJob::AfTcp(c);
         assert_eq!(
-            flow_jobs_fnv(std::slice::from_ref(&a)),
-            flow_jobs_fnv(std::slice::from_ref(&a))
+            config_fnv(std::slice::from_ref(&a)),
+            config_fnv(std::slice::from_ref(&a))
         );
         assert_ne!(
-            flow_jobs_fnv(std::slice::from_ref(&b)),
-            flow_jobs_fnv(std::slice::from_ref(&c)),
+            config_fnv(std::slice::from_ref(&b)),
+            config_fnv(std::slice::from_ref(&c)),
             "the marker kind is part of the tested configuration"
         );
-        assert_ne!(
-            flow_jobs_fnv(&[a.clone(), b.clone()]),
-            flow_jobs_fnv(&[b, a])
-        );
+        assert_ne!(config_fnv(&[a.clone(), b.clone()]), config_fnv(&[b, a]));
     }
 }

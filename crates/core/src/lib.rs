@@ -27,7 +27,6 @@ pub mod af_tcp;
 pub mod aggregate;
 pub mod analysis;
 pub mod artifacts;
-pub mod auditing;
 pub mod experiment;
 pub mod flows;
 pub mod golden;
@@ -52,8 +51,8 @@ pub mod prelude {
         quality_area,
     };
     pub use crate::experiment::{
-        encoded_features, received_features, received_features_from, run_horizon, score_run,
-        score_run_shared, EfProfile, RunOutcome, DEPTH_2MTU, DEPTH_3MTU,
+        encoded_features, received_features_from, run_horizon, EfProfile, RunOutcome, DEPTH_2MTU,
+        DEPTH_3MTU,
     };
     pub use crate::flows::{FlowOutcome, FlowsOutcome};
     pub use crate::golden::{

@@ -15,21 +15,17 @@
 use dsv_media::encoder::wmv;
 use dsv_media::scene::ClipId;
 use dsv_net::frame_relay::table1;
-use dsv_net::network::Simulation;
 use dsv_net::packet::FlowId;
 use dsv_scenario::{
-    compile, ActionSpec, AppSpec, BoundSpec, CompileOptions, ConditionerSpec, CrossTrafficSpec,
-    DscpSpec, LimitsSpec, LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec,
-    ScenarioSpec, TransportSpec,
+    ActionSpec, AppSpec, BoundSpec, ConditionerSpec, CrossTrafficSpec, DscpSpec, LimitsSpec,
+    LinkParams, LinkSpec, MatchSpec, MediaRef, NodeSpec, QdiscSpec, RuleSpec, ScenarioSpec,
+    TransportSpec,
 };
-use dsv_sim::{SimDuration, SimTime};
+use dsv_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use std::time::Instant;
-
-use crate::artifacts::{self, ArtifactStore, Codec};
-use crate::experiment::{run_horizon, EfProfile, RunOutcome};
-use crate::profile;
+use crate::artifacts::{self, Codec};
+use crate::experiment::{run_horizon, simulate, EfProfile, RunOutcome, SimRun};
 use crate::qbone::{ClipId2, CodecSpec};
 
 /// Flow id of the media stream.
@@ -263,57 +259,38 @@ pub fn run_local(cfg: &LocalConfig) -> RunOutcome {
 /// Like [`run_local`], but also return the client's full report (arrival
 /// times, decodability, playback schedule) for deeper analysis.
 pub fn run_local_detailed(cfg: &LocalConfig) -> (RunOutcome, dsv_stream::client::ClientReport) {
-    let clip_id: ClipId = cfg.clip.into();
-    // Warm the artifact store so the encode cost is attributed to the
-    // encode phase; the compile below then resolves media for free.
-    let t_artifacts = Instant::now();
-    artifacts::encoding(clip_id, Codec::Wmv, cfg.cap_bps);
-    if cfg.transport == LocalTransport::Udp && cfg.multi_rate {
-        artifacts::encoding(clip_id, Codec::Wmv, LOW_TIER_BPS);
-    }
-    profile::add_encode(t_artifacts.elapsed());
-
-    let spec = local_spec(cfg);
-    let compiled = compile(
-        &spec,
-        CompileOptions {
-            store: Some(&ArtifactStore),
-            wrap: None,
-        },
+    score_local(
+        cfg,
+        simulate(&local_spec(cfg)).expect("local spec compiles"),
     )
-    .expect("local spec compiles");
-    let client_handle = compiled
+}
+
+/// Score a finished run of [`local_spec`]`(cfg)`.
+pub(crate) fn score_local(
+    cfg: &LocalConfig,
+    run: SimRun,
+) -> (RunOutcome, dsv_stream::client::ClientReport) {
+    let clip_id: ClipId = cfg.clip.into();
+    let report = run
+        .compiled
         .sole_client()
         .expect("local scenario has one client")
-        .clone();
-    let adaptive_handle = compiled.adaptives.first().map(|(_, h)| h.clone());
-    let horizon = compiled.horizon.expect("local spec sets a horizon");
-    let bounds = compiled.bounds.clone();
-
-    let mut sim = Simulation::new(compiled.net);
-    crate::auditing::arm(&mut sim, &bounds);
-    let t_sim = Instant::now();
-    let stats = sim.run_until(SimTime::ZERO + horizon);
-    profile::add_simulate(t_sim.elapsed(), stats.dispatched);
-    profile::record_high_water(sim.queue.high_water(), sim.net.pool_high_water());
-    crate::auditing::finish(&mut sim, "local run");
-
-    let report = client_handle.borrow().report();
-    let media = sim.net.stats.flow(MEDIA_FLOW);
+        .borrow()
+        .report();
+    let media = run.sim.net.stats.flow(MEDIA_FLOW);
     let shaper_drops = media.drops_for(dsv_net::packet::DropReason::ShaperOverflow);
-    let (collapses, broken) = adaptive_handle
-        .map(|h| {
+    let (collapses, broken) = run
+        .compiled
+        .adaptives
+        .first()
+        .map(|(_, h)| {
             let s = h.borrow();
             (s.collapses, s.broken)
         })
         .unwrap_or((0, false));
-    let t_features = Instant::now();
     let source = artifacts::source_features(clip_id);
     let reference = artifacts::reference_features(clip_id, Codec::Wmv, cfg.cap_bps);
-    profile::add_encode(t_features.elapsed());
-    let t_score = Instant::now();
     let score = crate::qoe::score_session(&source, &reference, &report, None);
-    profile::add_score(t_score.elapsed());
     let outcome = RunOutcome::assemble(&report, &media, &score, shaper_drops, collapses, broken);
     (outcome, report)
 }

@@ -27,6 +27,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
 use dsv_media::features::FeatureFrame;
 use dsv_net::features::FlowFeatures;
@@ -243,10 +244,11 @@ pub fn stamp_scoring(scoring: Value) -> Value {
     }
 }
 
-/// Score one finished session under the active [`mode`].
+/// Score one finished session under the active [`mode`], timed into the
+/// profile's score stage.
 ///
-/// In full mode this is exactly the legacy
-/// [`crate::experiment::score_run_shared`] computation; in proxy mode the
+/// In full mode this is per-frame VQM of the received stream against the
+/// reference (and the best reference, when given); in proxy mode the
 /// received stream is never materialized; in sampled mode the k-th-flow
 /// full check feeds the live error bound and the *proxy* estimate is
 /// still what the outcome reports (all flows in a sampled run are scored
@@ -257,7 +259,8 @@ pub fn score_session(
     report: &ClientReport,
     best_reference: Option<&[FeatureFrame]>,
 ) -> QoeEstimate {
-    match mode() {
+    let t_score = Instant::now();
+    let estimate = match mode() {
         QoeMode::Full => {
             FULL_SCORED.fetch_add(1, Ordering::Relaxed);
             let received = received_features_from(source, report);
@@ -301,7 +304,9 @@ pub fn score_session(
             }
             proxy
         }
-    }
+    };
+    crate::profile::add_score(t_score.elapsed());
+    estimate
 }
 
 #[cfg(test)]
@@ -351,14 +356,14 @@ mod tests {
 
     #[test]
     fn full_mode_matches_legacy_scoring_exactly() {
-        use crate::experiment::score_run_shared;
         let _g = force_mode(QoeMode::Full);
         let src = dsv_media::scene::ClipId::Talk.model().source_features();
         let report = tiny_report(src.len());
-        let (same, vs_best) = score_run_shared(&src, &src, &report, Some(&src));
+        let same =
+            dsv_vqm::Vqm::default().score_streams(&src, &received_features_from(&src, &report));
         let est = score_session(&src, &src, &report, Some(&src));
         assert_eq!(est.quality, same.overall);
-        assert_eq!(est.quality_vs_best, vs_best.map(|v| v.overall));
+        assert_eq!(est.quality_vs_best, Some(same.overall));
         assert_eq!(est.failed_segments, same.failed_segments);
     }
 

@@ -4,8 +4,13 @@
 //! experiment runs (token rate × bucket depth, or a list of ablation
 //! configurations). Each run is a *pure function of its configuration*:
 //! all randomness is drawn from seeds stored in the config, so a point's
-//! [`RunOutcome`] does not depend on which thread computed it or in which
-//! order. The [`Runner`] exploits that three ways:
+//! outcome does not depend on which thread computed it or in which order.
+//!
+//! Every testbed family — [`Job`] (QBone, local, AF), [`AggregateConfig`]
+//! and [`FlowJob`] (smoothing, AF-TCP) — runs through **one** engine. A
+//! point is its scenario spec plus its scoring parameters (the private
+//! `GridPoint` trait); the engine builds each spec once, canonicalizes it
+//! once, and from that one identity drives all three layers:
 //!
 //! * **Parallelism** — grid points fan out over a scoped thread pool
 //!   (work-stealing by atomic index). Results land in per-point slots, so
@@ -14,14 +19,13 @@
 //! * **Caching** — each point is content-addressed by an FNV-1a hash of
 //!   its kind tag and the **canonical** (symmetry-normal, see
 //!   [`dsv_scenario::canonicalize`]) JSON of its compiled scenario spec
-//!   plus scoring parameters (`Job::cache_json`, built on
-//!   [`crate::keys`]), so any topology or profile change changes the
-//!   address. Outcomes persist under `results/cache/`, so re-running
+//!   plus scoring parameters (built on [`crate::keys`]), so any topology
+//!   or profile change changes the address. Outcomes persist under
+//!   `results/cache/` in **canonical flow order**, so re-running
 //!   `all_figures` (or any figure binary) skips every already-computed
-//!   point. A config change — different rate, depth, seed, clip,
-//!   horizon — changes the hash and misses the cache; the stored config
-//!   is compared byte-for-byte on load to guard against hash collisions
-//!   and stale schema.
+//!   point, and any member of a symmetry class can load its class's
+//!   entry. The stored address is compared byte-for-byte on load to guard
+//!   against hash collisions and stale schema.
 //! * **Clustering** — before simulating, the grid is partitioned into
 //!   equivalence classes by the very same canonical address. In `exact`
 //!   mode (the default) only one representative per class is simulated
@@ -29,15 +33,12 @@
 //!   because equal canonical forms mean the specs are relabellings of
 //!   one another and the engine's dynamics are label-blind (validated by
 //!   `aggregate::tests::rotated_declarations_permute_per_flow_outcomes_exactly`).
-//!   Aggregate outcomes transplant through per-flow canonical-rank maps
+//!   Per-flow outcomes transplant through canonical-rank maps
 //!   ([`crate::aggregate::media_flow_ranks`]); single-stream outcomes are
-//!   flow-agnostic and transplant by clone. In `approx:<eps>` mode,
-//!   representatives that differ *only* in their single policer token
-//!   rate are additionally bisected: if the outcomes at two bracketing
-//!   rates agree within `eps` on every headline metric, the points
-//!   between them inherit the nearest anchor's outcome, with the
-//!   recorded [`ErrorBound`] (anchor spread plus a wobble allowance)
-//!   riding along in the point's [`PointSource`].
+//!   flow-agnostic and transplant by clone.
+//!
+//! Executing a point is the one simulate step every testbed shares
+//! ([`crate::experiment::simulate`]) followed by the family's scoring.
 //!
 //! The cache deliberately does **not** hash the simulator code itself:
 //! after changing simulation behaviour, delete `results/cache/` (or run
@@ -50,7 +51,7 @@
 //! | `DSV_THREADS`  | worker count (`1` = serial; default: all cores; `0`/garbage warn on stderr and use the default) |
 //! | `DSV_CACHE`    | `0`/`off` disables; a path overrides the cache dir  |
 //! | `DSV_PROGRESS` | `1`/`0` forces the progress meter on/off (default: on when stderr is a TTY) |
-//! | `DSV_CLUSTER`  | `off` disables clustering; `exact` (default) merges provably symmetric points; `approx:<eps>` additionally interpolates across rate neighbours within `eps` |
+//! | `DSV_CLUSTER`  | `off` disables clustering; `exact` (default) merges provably symmetric points |
 
 use std::collections::HashMap;
 use std::fs;
@@ -62,21 +63,22 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize, Value};
 
-use crate::af::{af_spec, run_af, AfConfig};
-use crate::af_tcp::{af_tcp_spec, run_af_tcp, AfTcpConfig};
+use crate::af::{af_spec, score_af, AfConfig};
+use crate::af_tcp::{af_tcp_spec, score_af_tcp, AfTcpConfig};
 use crate::aggregate::{
-    aggregate_spec, from_canonical_order, media_flow_ranks, run_aggregate, to_canonical_order,
+    aggregate_spec, from_canonical_order, media_flow_ranks, score_aggregate, to_canonical_order,
     AggregateConfig, AggregateOutcome,
 };
-use crate::experiment::{EfProfile, RunOutcome};
-use crate::flows::{flows_from_canonical_order, flows_to_canonical_order, FlowsOutcome};
+use crate::experiment::{simulate, EfProfile, RunOutcome, SimRun};
+use crate::flows::FlowsOutcome;
 use crate::keys;
-use crate::local::{local_spec, run_local, LocalConfig};
+use crate::local::{local_spec, score_local, LocalConfig};
 use crate::profile;
-use crate::qbone::{qbone_spec, run_qbone, QboneConfig};
-use crate::smoothing::{run_smoothing, smoothing_spec, SmoothingConfig};
-use crate::sweep::{SweepPoint, SweepResult};
-use dsv_scenario::{canonicalize, ActionSpec, ScenarioSpec};
+use crate::qbone::{qbone_spec, score_qbone, QboneConfig};
+use crate::qoe::stamp_scoring;
+use crate::smoothing::{score_smoothing, smoothing_spec, SmoothingConfig};
+use crate::sweep::SweepResult;
+use dsv_scenario::{canonicalize, ScenarioSpec};
 
 /// One unit of grid work: a fully specified experiment configuration.
 #[derive(Debug, Clone)]
@@ -89,87 +91,9 @@ pub enum Job {
     Af(AfConfig),
 }
 
-impl Job {
-    /// Short tag naming the testbed; part of the cache key.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Job::Qbone(_) => "qbone",
-            Job::Local(_) => "local",
-            Job::Af(_) => "af",
-        }
-    }
-
-    /// Canonical JSON of the configuration (the golden checksums hash
-    /// this; see [`crate::golden`]).
-    pub(crate) fn config_json(&self) -> String {
-        match self {
-            Job::Qbone(cfg) => serde_json::to_string(cfg),
-            Job::Local(cfg) => serde_json::to_string(cfg),
-            Job::Af(cfg) => serde_json::to_string(cfg),
-        }
-        .expect("config serializes")
-    }
-
-    /// The job's compiled scenario spec and the scoring parameters that
-    /// shape the outcome but live outside the topology — together, the
-    /// full semantic identity of the point.
-    pub(crate) fn spec_scoring(&self) -> (ScenarioSpec, Value) {
-        match self {
-            Job::Qbone(cfg) => (
-                qbone_spec(cfg),
-                Value::Object(vec![
-                    ("clip".to_string(), cfg.clip.to_value()),
-                    ("encoding_bps".to_string(), cfg.encoding_bps.to_value()),
-                    ("score_vs_best".to_string(), cfg.score_vs_best.to_value()),
-                ]),
-            ),
-            Job::Local(cfg) => (
-                local_spec(cfg),
-                Value::Object(vec![
-                    ("clip".to_string(), cfg.clip.to_value()),
-                    ("cap_bps".to_string(), cfg.cap_bps.to_value()),
-                ]),
-            ),
-            Job::Af(cfg) => (
-                af_spec(cfg),
-                Value::Object(vec![
-                    ("clip".to_string(), cfg.clip.to_value()),
-                    ("encoding_bps".to_string(), cfg.encoding_bps.to_value()),
-                ]),
-            ),
-        }
-    }
-
-    /// The content the result cache addresses: the **symmetry-normal**
-    /// form of the job's compiled scenario spec plus its scoring
-    /// parameters (see [`crate::keys`]). Keying the cache off the
-    /// canonical spec means two configs that lower to relabellings of
-    /// one simulation *and* the same scoring share an entry, and any
-    /// topology change — even one the config struct cannot express —
-    /// changes the address. This string is also the exact-cluster class
-    /// identity, by construction: one module computes both.
-    pub(crate) fn cache_json(&self) -> String {
-        let (spec, scoring) = self.spec_scoring();
-        // A non-default `DSV_QOE` estimator changes outcome values, so it
-        // is part of the identity; full mode stamps nothing, keeping
-        // every historical address byte-identical.
-        keys::canonical_address(&spec, crate::qoe::stamp_scoring(scoring))
-    }
-
-    /// Run the experiment this job describes.
-    fn execute(&self) -> RunOutcome {
-        match self {
-            Job::Qbone(cfg) => run_qbone(cfg),
-            Job::Local(cfg) => run_local(cfg),
-            Job::Af(cfg) => run_af(cfg),
-        }
-    }
-}
-
 /// One unit of transport-level grid work: an experiment reporting
 /// per-flow [`FlowsOutcome`]s instead of a VQM-scored [`RunOutcome`].
-/// Runs through the same thread pool, persistent cache and exact-cluster
-/// pre-pass as [`Job`] grids.
+/// Runs through the same engine as [`Job`] grids.
 #[derive(Debug, Clone)]
 pub enum FlowJob {
     /// A TCP-smoothing run on the QBone path (one media flow).
@@ -178,18 +102,147 @@ pub enum FlowJob {
     AfTcp(AfTcpConfig),
 }
 
-impl FlowJob {
-    /// Short tag naming the experiment; part of the cache key.
-    pub fn kind(&self) -> &'static str {
+/// One grid point of any testbed family, as the engine sees it: a
+/// scenario spec, the scoring parameters that shape the outcome but live
+/// outside the topology, and the family's scoring of a finished run.
+pub(crate) trait GridPoint: Sync {
+    /// What scoring one run produces.
+    type Outcome: PointOutcome;
+    /// Short tag naming the testbed; part of the cache key.
+    fn kind(&self) -> &'static str;
+    /// JSON of the configuration (the golden checksums hash this; see
+    /// [`crate::golden`]).
+    fn config_json(&self) -> String;
+    /// The point's compiled scenario spec.
+    fn spec(&self) -> ScenarioSpec;
+    /// The scoring parameters. A VQM-scored family stamps a non-default
+    /// `DSV_QOE` estimator in (see [`crate::qoe::stamp_scoring`]), since
+    /// it changes outcome values; transport outcomes are the same bytes
+    /// under every estimator, so those families stamp nothing.
+    fn scoring(&self) -> Value;
+    /// How many per-flow outcomes the point reports (0: the outcome is
+    /// flow-agnostic).
+    fn flows(&self) -> u32;
+    /// Score a finished run of [`GridPoint::spec`].
+    fn score(&self, run: SimRun) -> Self::Outcome;
+}
+
+/// What the engine needs of an outcome: serde for the cache and the
+/// goldens, canonical-order transplants, and drop counts for the
+/// progress line.
+pub(crate) trait PointOutcome: Clone + Send + Sync + Serialize + Deserialize {
+    /// Reorder label order into canonical order (`canon[rank[i]] =
+    /// self[i]`).
+    fn canonical_order(&self, rank: &[usize]) -> Self;
+    /// Reorder canonical order back into label order, or `None` when
+    /// the outcome's shape does not fit `rank` (a stale cache entry).
+    fn label_order(&self, rank: &[usize]) -> Option<Self>;
+    /// `(policer, queue, shaper)` drop totals.
+    fn drops(&self) -> (u64, u64, u64);
+}
+
+impl GridPoint for Job {
+    type Outcome = RunOutcome;
+
+    fn kind(&self) -> &'static str {
+        match self {
+            Job::Qbone(_) => "qbone",
+            Job::Local(_) => "local",
+            Job::Af(_) => "af",
+        }
+    }
+
+    fn config_json(&self) -> String {
+        match self {
+            Job::Qbone(cfg) => serde_json::to_string(cfg),
+            Job::Local(cfg) => serde_json::to_string(cfg),
+            Job::Af(cfg) => serde_json::to_string(cfg),
+        }
+        .expect("config serializes")
+    }
+
+    fn spec(&self) -> ScenarioSpec {
+        match self {
+            Job::Qbone(cfg) => qbone_spec(cfg),
+            Job::Local(cfg) => local_spec(cfg),
+            Job::Af(cfg) => af_spec(cfg),
+        }
+    }
+
+    fn scoring(&self) -> Value {
+        let field = |k: &str, v: Value| (k.to_string(), v);
+        stamp_scoring(Value::Object(match self {
+            Job::Qbone(cfg) => vec![
+                field("clip", cfg.clip.to_value()),
+                field("encoding_bps", cfg.encoding_bps.to_value()),
+                field("score_vs_best", cfg.score_vs_best.to_value()),
+            ],
+            Job::Local(cfg) => vec![
+                field("clip", cfg.clip.to_value()),
+                field("cap_bps", cfg.cap_bps.to_value()),
+            ],
+            Job::Af(cfg) => vec![
+                field("clip", cfg.clip.to_value()),
+                field("encoding_bps", cfg.encoding_bps.to_value()),
+            ],
+        }))
+    }
+
+    fn flows(&self) -> u32 {
+        0
+    }
+
+    fn score(&self, run: SimRun) -> RunOutcome {
+        match self {
+            Job::Qbone(cfg) => score_qbone(cfg, run).0,
+            Job::Local(cfg) => score_local(cfg, run).0,
+            Job::Af(cfg) => score_af(cfg, run).0,
+        }
+    }
+}
+
+impl GridPoint for AggregateConfig {
+    type Outcome = AggregateOutcome;
+
+    fn kind(&self) -> &'static str {
+        "aggregate"
+    }
+
+    fn config_json(&self) -> String {
+        serde_json::to_string(self).expect("config serializes")
+    }
+
+    fn spec(&self) -> ScenarioSpec {
+        aggregate_spec(self)
+    }
+
+    fn scoring(&self) -> Value {
+        stamp_scoring(Value::Object(vec![
+            ("clip".to_string(), self.clip.to_value()),
+            ("encoding_bps".to_string(), self.encoding_bps.to_value()),
+        ]))
+    }
+
+    fn flows(&self) -> u32 {
+        self.flows
+    }
+
+    fn score(&self, run: SimRun) -> AggregateOutcome {
+        score_aggregate(self, run).0
+    }
+}
+
+impl GridPoint for FlowJob {
+    type Outcome = FlowsOutcome;
+
+    fn kind(&self) -> &'static str {
         match self {
             FlowJob::Smoothing(_) => "smoothing",
             FlowJob::AfTcp(_) => "af_tcp",
         }
     }
 
-    /// Canonical JSON of the configuration (the golden checksums hash
-    /// this; see [`crate::golden::golden_flows`]).
-    pub(crate) fn config_json(&self) -> String {
+    fn config_json(&self) -> String {
         match self {
             FlowJob::Smoothing(cfg) => serde_json::to_string(cfg),
             FlowJob::AfTcp(cfg) => serde_json::to_string(cfg),
@@ -197,22 +250,23 @@ impl FlowJob {
         .expect("config serializes")
     }
 
-    /// The job's compiled scenario spec plus the scoring parameters
-    /// living outside the topology (see [`Job::spec_scoring`]).
-    pub(crate) fn spec_scoring(&self) -> (ScenarioSpec, Value) {
+    fn spec(&self) -> ScenarioSpec {
         match self {
-            FlowJob::Smoothing(cfg) => (
-                smoothing_spec(cfg),
-                Value::Object(vec![
-                    ("clip".to_string(), cfg.clip.to_value()),
-                    ("encoding_bps".to_string(), cfg.encoding_bps.to_value()),
-                ]),
-            ),
-            FlowJob::AfTcp(cfg) => (af_tcp_spec(cfg), Value::Object(Vec::new())),
+            FlowJob::Smoothing(cfg) => smoothing_spec(cfg),
+            FlowJob::AfTcp(cfg) => af_tcp_spec(cfg),
         }
     }
 
-    /// How many per-flow outcomes this job reports.
+    fn scoring(&self) -> Value {
+        match self {
+            FlowJob::Smoothing(cfg) => Value::Object(vec![
+                ("clip".to_string(), cfg.clip.to_value()),
+                ("encoding_bps".to_string(), cfg.encoding_bps.to_value()),
+            ]),
+            FlowJob::AfTcp(_) => Value::Object(Vec::new()),
+        }
+    }
+
     fn flows(&self) -> u32 {
         match self {
             FlowJob::Smoothing(_) => 1,
@@ -220,13 +274,93 @@ impl FlowJob {
         }
     }
 
-    /// Run the experiment this job describes.
-    fn execute(&self) -> FlowsOutcome {
+    fn score(&self, run: SimRun) -> FlowsOutcome {
         match self {
-            FlowJob::Smoothing(cfg) => run_smoothing(cfg),
-            FlowJob::AfTcp(cfg) => run_af_tcp(cfg),
+            FlowJob::Smoothing(cfg) => score_smoothing(cfg, run),
+            FlowJob::AfTcp(cfg) => score_af_tcp(cfg, run),
         }
     }
+}
+
+impl PointOutcome for RunOutcome {
+    fn canonical_order(&self, _rank: &[usize]) -> RunOutcome {
+        self.clone()
+    }
+
+    fn label_order(&self, _rank: &[usize]) -> Option<RunOutcome> {
+        Some(self.clone())
+    }
+
+    fn drops(&self) -> (u64, u64, u64) {
+        (self.policer_drops, self.queue_drops, self.shaper_drops)
+    }
+}
+
+impl PointOutcome for AggregateOutcome {
+    fn canonical_order(&self, rank: &[usize]) -> AggregateOutcome {
+        AggregateOutcome {
+            per_flow: to_canonical_order(&self.per_flow, rank),
+        }
+    }
+
+    fn label_order(&self, rank: &[usize]) -> Option<AggregateOutcome> {
+        (self.per_flow.len() == rank.len()).then(|| AggregateOutcome {
+            per_flow: from_canonical_order(&self.per_flow, rank),
+        })
+    }
+
+    fn drops(&self) -> (u64, u64, u64) {
+        (
+            self.per_flow.iter().map(|f| f.policer_drops).sum(),
+            self.per_flow.iter().map(|f| f.queue_drops).sum(),
+            self.per_flow.iter().map(|f| f.shaper_drops).sum(),
+        )
+    }
+}
+
+impl PointOutcome for FlowsOutcome {
+    fn canonical_order(&self, rank: &[usize]) -> FlowsOutcome {
+        FlowsOutcome {
+            per_flow: to_canonical_order(&self.per_flow, rank),
+        }
+    }
+
+    fn label_order(&self, rank: &[usize]) -> Option<FlowsOutcome> {
+        (self.per_flow.len() == rank.len()).then(|| FlowsOutcome {
+            per_flow: from_canonical_order(&self.per_flow, rank),
+        })
+    }
+
+    fn drops(&self) -> (u64, u64, u64) {
+        (self.total_policer_drops(), self.total_queue_drops(), 0)
+    }
+}
+
+/// A point's identity, from one spec build and one canonicalization: the
+/// spec it runs, its content address (the cache key and, with the kind
+/// tag, its exact-cluster class) and its flow-rank map.
+struct Identity {
+    spec: ScenarioSpec,
+    address: String,
+    rank: Vec<usize>,
+}
+
+impl Identity {
+    fn of<P: GridPoint>(point: &P) -> Identity {
+        let spec = point.spec();
+        let canon = canonicalize(&spec);
+        Identity {
+            address: keys::cache_address(canon.spec.to_value(), point.scoring()),
+            rank: media_flow_ranks(&canon, point.flows()),
+            spec,
+        }
+    }
+}
+
+/// Simulate `spec` — the point's own — and score the run.
+fn execute<P: GridPoint>(point: &P, spec: &ScenarioSpec) -> P::Outcome {
+    let run = simulate(spec).unwrap_or_else(|e| panic!("{} spec compiles: {e}", point.kind()));
+    point.score(run)
 }
 
 /// How the cluster layer treats a grid before simulating it.
@@ -239,37 +373,6 @@ pub enum ClusterMode {
     /// Byte-identical to [`ClusterMode::Off`] wherever symmetry is
     /// provable — which is the only time points merge.
     Exact,
-    /// [`ClusterMode::Exact`], plus: representatives differing only in
-    /// their single policer token rate are bisected, and points whose
-    /// bracketing anchors agree within the tolerance on every headline
-    /// metric inherit the nearest anchor's outcome with a recorded
-    /// [`ErrorBound`]. Trades exactness for fewer simulations.
-    Approx(f64),
-}
-
-/// Slack added to an interpolated point's error bound beyond the anchor
-/// spread, covering the "mostly" in the sweeps' mostly-monotone loss
-/// curves (see `crate::analysis::mostly_monotone_decreasing`): loss-like
-/// metrics may wobble this far against the trend between anchors.
-pub const WOBBLE_LOSS: f64 = 0.02;
-/// [`WOBBLE_LOSS`]'s counterpart for VQM quality metrics, which ride on
-/// top of loss and wobble a little harder.
-pub const WOBBLE_QUALITY: f64 = 0.05;
-
-/// Per-metric bound on how far an interpolated outcome may sit from the
-/// ground truth a real simulation would produce: the spread between the
-/// two bracketing anchors (truth lies between them when the segment is
-/// monotone) plus the wobble allowance for non-monotone jitter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ErrorBound {
-    /// Bound on `quality`.
-    pub quality: f64,
-    /// Bound on `frame_loss`.
-    pub frame_loss: f64,
-    /// Bound on `packet_loss`.
-    pub packet_loss: f64,
-    /// Bound on `quality_vs_best`, when both anchors scored it.
-    pub quality_vs_best: Option<f64>,
 }
 
 /// Where a grid point's outcome came from.
@@ -285,43 +388,17 @@ pub enum PointSource {
         /// Input index of the class representative.
         representative: usize,
     },
-    /// Inherited from the nearest of two bracketing rate anchors that
-    /// agreed within the approx tolerance.
-    Interpolated {
-        /// Input index of the lower-rate anchor.
-        lo: usize,
-        /// Input index of the higher-rate anchor.
-        hi: usize,
-        /// Recorded per-metric distance bound to ground truth.
-        bound: ErrorBound,
-    },
+    /// Never produced: no cluster mode interpolates. The variant remains
+    /// only because `perfbench` matches this enum exhaustively; delete it
+    /// with the next change to the benchmark.
+    Interpolated,
 }
 
 impl PointSource {
     /// True for outcomes an actual simulation (or its cached result)
-    /// produced, false for transplants and interpolations.
+    /// produced, false for transplants.
     pub fn is_direct(&self) -> bool {
         matches!(self, PointSource::Simulated | PointSource::Cached)
-    }
-}
-
-impl Serialize for PointSource {
-    fn to_value(&self) -> Value {
-        let kind = |k: &str| ("kind".to_string(), Value::Str(k.to_string()));
-        match self {
-            PointSource::Simulated => Value::Object(vec![kind("simulated")]),
-            PointSource::Cached => Value::Object(vec![kind("cached")]),
-            PointSource::Reused { representative } => Value::Object(vec![
-                kind("reused"),
-                ("representative".to_string(), representative.to_value()),
-            ]),
-            PointSource::Interpolated { lo, hi, bound } => Value::Object(vec![
-                kind("interpolated"),
-                ("lo".to_string(), lo.to_value()),
-                ("hi".to_string(), hi.to_value()),
-                ("bound".to_string(), bound.to_value()),
-            ]),
-        }
     }
 }
 
@@ -334,44 +411,22 @@ pub struct ClusterPoint<O> {
     pub source: PointSource,
 }
 
-/// One persisted cache record. The address JSON rides along so a load
-/// can verify it addressed the right content (collision/staleness
-/// guard).
+/// One persisted cache record, whatever the family: the outcome in
+/// canonical flow order, plus the address JSON so a load can verify it
+/// addressed the right content (collision/staleness guard).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct CacheEntry {
     kind: String,
     config: String,
-    outcome: RunOutcome,
-}
-
-/// A persisted aggregate-run cache record (same guard discipline as
-/// [`CacheEntry`], different outcome shape). The per-flow outcomes are
-/// stored in **canonical flow order** so any config in the entry's
-/// symmetry class can load it and transplant back through its own rank
-/// map.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct AggregateCacheEntry {
-    kind: String,
-    config: String,
-    outcome: AggregateOutcome,
-}
-
-/// A persisted transport-run cache record (same guard discipline as
-/// [`AggregateCacheEntry`]; per-flow outcomes stored in canonical flow
-/// order so any member of the symmetry class can load the entry).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct FlowsCacheEntry {
-    kind: String,
-    config: String,
-    outcome: FlowsOutcome,
+    outcome: Value,
 }
 
 /// Live progress across worker threads: points done, throughput, ETA and
 /// aggregate drop counters, reported on stderr.
 ///
 /// The throughput/ETA estimate counts **simulation slots**
-/// (`sims_done / planned_sims`), not grid points: cluster-reused and
-/// interpolated points land in microseconds, so folding them into the
+/// (`sims_done / planned_sims`), not grid points: cluster-reused
+/// points land in microseconds, so folding them into the
 /// rate would first overestimate the remaining time (reused points
 /// pending at the simulated points' rate) and then whipsaw the rate
 /// upward when they all land at once.
@@ -382,7 +437,6 @@ struct Progress {
     sims_done: AtomicUsize,
     cached: AtomicUsize,
     reused: AtomicUsize,
-    interpolated: AtomicUsize,
     policer_drops: AtomicU64,
     queue_drops: AtomicU64,
     shaper_drops: AtomicU64,
@@ -403,7 +457,6 @@ impl Progress {
             sims_done: AtomicUsize::new(0),
             cached: AtomicUsize::new(0),
             reused: AtomicUsize::new(0),
-            interpolated: AtomicUsize::new(0),
             policer_drops: AtomicU64::new(0),
             queue_drops: AtomicU64::new(0),
             shaper_drops: AtomicU64::new(0),
@@ -413,42 +466,21 @@ impl Progress {
         }
     }
 
-    fn add_drops(&self, drops: (u64, u64, u64)) {
+    /// Record a landed point given its drop counters `(policer, queue,
+    /// shaper)` and where it came from.
+    fn record(&self, drops: (u64, u64, u64), source: &PointSource) {
+        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
+        match source {
+            PointSource::Reused { .. } => &self.reused,
+            _ => &self.sims_done,
+        }
+        .fetch_add(1, Ordering::Relaxed);
+        if let PointSource::Cached = source {
+            self.cached.fetch_add(1, Ordering::Relaxed);
+        }
         self.policer_drops.fetch_add(drops.0, Ordering::Relaxed);
         self.queue_drops.fetch_add(drops.1, Ordering::Relaxed);
         self.shaper_drops.fetch_add(drops.2, Ordering::Relaxed);
-    }
-
-    /// Record a directly-produced point (simulated, or served from the
-    /// persistent cache) given its aggregate drop counters
-    /// `(policer, queue, shaper)`.
-    fn record_counts(&self, drops: (u64, u64, u64), cache_hit: bool) {
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        self.sims_done.fetch_add(1, Ordering::Relaxed);
-        if cache_hit {
-            self.cached.fetch_add(1, Ordering::Relaxed);
-        }
-        self.add_drops(drops);
-        if self.enabled {
-            self.print(done, false);
-        }
-    }
-
-    /// Record a point transplanted from its symmetry-class representative.
-    fn record_reused(&self, drops: (u64, u64, u64)) {
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        self.reused.fetch_add(1, Ordering::Relaxed);
-        self.add_drops(drops);
-        if self.enabled {
-            self.print(done, false);
-        }
-    }
-
-    /// Record a point inherited from a rate anchor in approx mode.
-    fn record_interpolated(&self, drops: (u64, u64, u64)) {
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        self.interpolated.fetch_add(1, Ordering::Relaxed);
-        self.add_drops(drops);
         if self.enabled {
             self.print(done, false);
         }
@@ -458,7 +490,6 @@ impl Progress {
         let sims_done = self.sims_done.load(Ordering::Relaxed);
         let cached = self.cached.load(Ordering::Relaxed);
         let reused = self.reused.load(Ordering::Relaxed);
-        let interpolated = self.interpolated.load(Ordering::Relaxed);
         let (rate, eta) = throughput_eta(
             sims_done,
             self.planned_sims,
@@ -473,9 +504,8 @@ impl Progress {
         let mut err = std::io::stderr().lock();
         let _ = write!(
             err,
-            "\r[runner] {done}/{} points ({} simulated, {cached} cached, {reused} reused, \
-             {interpolated} interpolated) | {rate:.2} sims/s | ETA {eta}{qoe} | \
-             drops: policer {}, queue {}, shaper {}",
+            "\r[runner] {done}/{} points ({} simulated, {cached} cached, {reused} reused) | \
+             {rate:.2} sims/s | ETA {eta}{qoe} | drops: policer {}, queue {}, shaper {}",
             self.total,
             sims_done.saturating_sub(cached),
             self.policer_drops.load(Ordering::Relaxed),
@@ -534,7 +564,7 @@ fn throughput_eta(done: usize, total: usize, elapsed_secs: f64) -> (f64, Option<
     (rate, Some(eta))
 }
 
-/// The grid-execution engine: fans [`Job`]s over threads, with an
+/// The grid-execution engine: fans grid points over threads, with an
 /// optional persistent result cache and a symmetry-cluster pre-pass. See
 /// the module docs for semantics.
 #[derive(Debug, Clone)]
@@ -632,186 +662,76 @@ impl Runner {
     /// simulation, which is byte-identical too; use
     /// [`Runner::run_clustered`] to also see each point's provenance.
     pub fn run(&self, jobs: &[Job]) -> Vec<RunOutcome> {
-        self.run_clustered(jobs)
-            .into_iter()
-            .map(|p| p.outcome)
-            .collect()
-    }
-
-    /// Run a batch of aggregate configurations, outcomes in input order,
-    /// through the same thread pool, persistent cache and cluster
-    /// pre-pass as [`run`].
-    ///
-    /// [`run`]: Runner::run
-    pub fn run_aggregate_batch(&self, cfgs: &[AggregateConfig]) -> Vec<AggregateOutcome> {
-        self.run_aggregate_clustered(cfgs)
-            .into_iter()
-            .map(|p| p.outcome)
-            .collect()
+        self.outcomes(jobs)
     }
 
     /// [`Runner::run`] with provenance: each outcome carries whether it
-    /// was simulated, cache-served, cluster-reused or interpolated.
+    /// was simulated, cache-served or cluster-reused.
     pub fn run_clustered(&self, jobs: &[Job]) -> Vec<ClusterPoint<RunOutcome>> {
-        let counts = |o: &RunOutcome| (o.policer_drops, o.queue_drops, o.shaper_drops);
-        match self.cluster {
-            ClusterMode::Off => self.run_direct(jobs.len(), |i| self.run_one(&jobs[i]), counts),
-            ClusterMode::Exact => self.run_jobs_merged(jobs, None),
-            ClusterMode::Approx(eps) => self.run_jobs_merged(jobs, Some(eps)),
-        }
+        self.run_points(jobs)
     }
 
-    /// [`Runner::run_aggregate_batch`] with provenance. Approx mode
-    /// falls back to exact transplanting here: rate interpolation is
-    /// only defined for the single-stream sweeps whose monotone rate
-    /// response the metamorphic oracles certify.
+    /// Run a batch of aggregate configurations, outcomes in input order,
+    /// through the same engine as [`Runner::run`].
+    pub fn run_aggregate_batch(&self, cfgs: &[AggregateConfig]) -> Vec<AggregateOutcome> {
+        self.outcomes(cfgs)
+    }
+
+    /// [`Runner::run_aggregate_batch`] with provenance.
     pub fn run_aggregate_clustered(
         &self,
         cfgs: &[AggregateConfig],
     ) -> Vec<ClusterPoint<AggregateOutcome>> {
-        let counts = |o: &AggregateOutcome| {
-            (
-                o.per_flow.iter().map(|f| f.policer_drops).sum(),
-                o.per_flow.iter().map(|f| f.queue_drops).sum(),
-                o.per_flow.iter().map(|f| f.shaper_drops).sum(),
-            )
-        };
-        let n = cfgs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.cluster == ClusterMode::Off {
-            return self.run_direct(n, |i| self.run_one_aggregate(&cfgs[i]), counts);
-        }
-
-        // Exact classes over the shared canonical address, with each
-        // config's flow-rank map retained to bridge per-flow outcomes
-        // between members of one class.
-        let canons: Vec<_> = cfgs
-            .iter()
-            .map(|c| canonicalize(&aggregate_spec(c)))
-            .collect();
-        let ranks: Vec<Vec<usize>> = canons
-            .iter()
-            .zip(cfgs)
-            .map(|(canon, cfg)| media_flow_ranks(canon, cfg.flows))
-            .collect();
-        let keys: Vec<String> = canons
-            .iter()
-            .zip(cfgs)
-            .map(|(canon, cfg)| {
-                format!(
-                    "{}\0{}",
-                    AGGREGATE_KIND,
-                    keys::cache_address(canon.spec.to_value(), aggregate_scoring(cfg))
-                )
-            })
-            .collect();
-        let rep_of = first_seen(&keys);
-        let reps: Vec<usize> = (0..n).filter(|&i| rep_of[i] == i).collect();
-        let mut slot_of = vec![usize::MAX; n];
-        for (slot, &i) in reps.iter().enumerate() {
-            slot_of[i] = slot;
-        }
-
-        let stages_before = profile::snapshot();
-        let progress = Progress::new(n, reps.len(), self.progress);
-        let rep_results = self.fan_out(
-            reps.len(),
-            &progress,
-            |slot| self.run_one_aggregate(&cfgs[reps[slot]]),
-            counts,
-        );
-        let out = (0..n)
-            .map(|i| {
-                let rep = rep_of[i];
-                let (outcome, hit) = &rep_results[slot_of[rep]];
-                if rep == i {
-                    ClusterPoint {
-                        outcome: outcome.clone(),
-                        source: if *hit {
-                            PointSource::Cached
-                        } else {
-                            PointSource::Simulated
-                        },
-                    }
-                } else {
-                    // Same canonical form ⟹ same flow count; transplant
-                    // the representative's per-flow outcomes through the
-                    // two rank maps (rep label order → canonical order →
-                    // member label order).
-                    let transplanted =
-                        from_canonical_order(&to_canonical_order(outcome, &ranks[rep]), &ranks[i]);
-                    progress.record_reused(counts(&transplanted));
-                    ClusterPoint {
-                        outcome: transplanted,
-                        source: PointSource::Reused {
-                            representative: rep,
-                        },
-                    }
-                }
-            })
-            .collect();
-        progress.finish();
-        profile::report(&format!("batch of {n}"), &stages_before);
-        out
+        self.run_points(cfgs)
     }
 
     /// Run a batch of transport-level jobs, outcomes in input order,
-    /// through the same thread pool, persistent cache and cluster
-    /// pre-pass as [`run`].
-    ///
-    /// [`run`]: Runner::run
+    /// through the same engine as [`Runner::run`].
     pub fn run_flows_batch(&self, jobs: &[FlowJob]) -> Vec<FlowsOutcome> {
-        self.run_flows_clustered(jobs)
+        self.outcomes(jobs)
+    }
+
+    /// [`Runner::run_flows_batch`] with provenance.
+    pub fn run_flows_clustered(&self, jobs: &[FlowJob]) -> Vec<ClusterPoint<FlowsOutcome>> {
+        self.run_points(jobs)
+    }
+
+    /// [`Runner::run_points`] without the provenance.
+    pub(crate) fn outcomes<P: GridPoint>(&self, points: &[P]) -> Vec<P::Outcome> {
+        self.run_points(points)
             .into_iter()
             .map(|p| p.outcome)
             .collect()
     }
 
-    /// [`Runner::run_flows_batch`] with provenance. Approx mode falls
-    /// back to exact transplanting (rate interpolation is certified only
-    /// for the single-stream VQM sweeps).
-    pub fn run_flows_clustered(&self, jobs: &[FlowJob]) -> Vec<ClusterPoint<FlowsOutcome>> {
-        let counts = |o: &FlowsOutcome| {
-            (
-                o.per_flow.iter().map(|f| f.policer_drops).sum(),
-                o.per_flow.iter().map(|f| f.queue_drops).sum(),
-                0,
-            )
-        };
-        let n = jobs.len();
+    /// The engine behind every batch entry point. In exact mode every
+    /// point's identity is computed up front and the grid partitions into
+    /// classes by first occurrence; only class representatives run (each
+    /// served from the cache or simulated), and every other member gets
+    /// its representative's outcome transplanted through the two flow-rank
+    /// maps (representative label order → canonical order → member label
+    /// order). With clustering off every point is its own class, and an
+    /// identity is computed only if the cache needs one.
+    pub(crate) fn run_points<P: GridPoint>(&self, points: &[P]) -> Vec<ClusterPoint<P::Outcome>> {
+        let n = points.len();
         if n == 0 {
             return Vec::new();
         }
-        if self.cluster == ClusterMode::Off {
-            return self.run_direct(n, |i| self.run_one_flows(&jobs[i]), counts);
-        }
-
-        // Exact classes over the canonical address, with each job's
-        // flow-rank map retained to bridge per-flow outcomes between
-        // members of one class (the aggregate path's exact discipline).
-        let canons: Vec<_> = jobs
+        let ids: Vec<Option<Identity>> = match self.cluster {
+            ClusterMode::Off => points.iter().map(|_| None).collect(),
+            ClusterMode::Exact => points.iter().map(|p| Some(Identity::of(p))).collect(),
+        };
+        let mut seen: HashMap<(&str, &str), usize> = HashMap::new();
+        let rep_of: Vec<usize> = ids
             .iter()
-            .map(|j| canonicalize(&j.spec_scoring().0))
-            .collect();
-        let ranks: Vec<Vec<usize>> = canons
-            .iter()
-            .zip(jobs)
-            .map(|(canon, job)| media_flow_ranks(canon, job.flows()))
-            .collect();
-        let keys: Vec<String> = canons
-            .iter()
-            .zip(jobs)
-            .map(|(canon, job)| {
-                format!(
-                    "{}\0{}",
-                    job.kind(),
-                    keys::cache_address(canon.spec.to_value(), job.spec_scoring().1)
-                )
+            .enumerate()
+            .map(|(i, id)| match id {
+                Some(id) => *seen
+                    .entry((points[i].kind(), id.address.as_str()))
+                    .or_insert(i),
+                None => i,
             })
             .collect();
-        let rep_of = first_seen(&keys);
         let reps: Vec<usize> = (0..n).filter(|&i| rep_of[i] == i).collect();
         let mut slot_of = vec![usize::MAX; n];
         for (slot, &i) in reps.iter().enumerate() {
@@ -820,262 +740,56 @@ impl Runner {
 
         let stages_before = profile::snapshot();
         let progress = Progress::new(n, reps.len(), self.progress);
-        let rep_results = self.fan_out(
-            reps.len(),
-            &progress,
-            |slot| self.run_one_flows(&jobs[reps[slot]]),
-            counts,
-        );
+        let results = self.fan_out(reps.len(), &progress, |slot| {
+            let i = reps[slot];
+            self.run_one(&points[i], ids[i].as_ref())
+        });
+        let rank = |i: usize| {
+            &ids[i]
+                .as_ref()
+                .expect("a transplant implies exact mode, which keys every point")
+                .rank
+        };
         let out = (0..n)
             .map(|i| {
                 let rep = rep_of[i];
-                let (outcome, hit) = &rep_results[slot_of[rep]];
+                let (outcome, source) = &results[slot_of[rep]];
                 if rep == i {
-                    ClusterPoint {
+                    return ClusterPoint {
                         outcome: outcome.clone(),
-                        source: if *hit {
-                            PointSource::Cached
-                        } else {
-                            PointSource::Simulated
-                        },
-                    }
-                } else {
-                    let transplanted = flows_from_canonical_order(
-                        &flows_to_canonical_order(outcome, &ranks[rep]),
-                        &ranks[i],
-                    );
-                    progress.record_reused(counts(&transplanted));
-                    ClusterPoint {
-                        outcome: transplanted,
-                        source: PointSource::Reused {
-                            representative: rep,
-                        },
-                    }
-                }
-            })
-            .collect();
-        progress.finish();
-        profile::report(&format!("batch of {n}"), &stages_before);
-        out
-    }
-
-    /// Cluster-free execution: every point produced directly (simulated
-    /// or cache-served), fanned over the thread pool.
-    fn run_direct<O: Send + Sync + Clone>(
-        &self,
-        n: usize,
-        exec: impl Fn(usize) -> (O, bool) + Sync,
-        counts: impl Fn(&O) -> (u64, u64, u64) + Sync,
-    ) -> Vec<ClusterPoint<O>> {
-        if n == 0 {
-            return Vec::new();
-        }
-        let stages_before = profile::snapshot();
-        let progress = Progress::new(n, n, self.progress);
-        let results = self.fan_out(n, &progress, exec, counts);
-        progress.finish();
-        profile::report(&format!("batch of {n}"), &stages_before);
-        results
-            .into_iter()
-            .map(|(outcome, hit)| ClusterPoint {
-                outcome,
-                source: if hit {
-                    PointSource::Cached
-                } else {
-                    PointSource::Simulated
-                },
-            })
-            .collect()
-    }
-
-    /// The exact/approx cluster engine for [`Job`] grids: partition by
-    /// canonical address, simulate representatives (bisecting rate
-    /// families when `eps` is given), transplant members.
-    fn run_jobs_merged(&self, jobs: &[Job], eps: Option<f64>) -> Vec<ClusterPoint<RunOutcome>> {
-        let counts = |o: &RunOutcome| (o.policer_drops, o.queue_drops, o.shaper_drops);
-        let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let keys: Vec<String> = jobs
-            .iter()
-            .map(|j| format!("{}\0{}", j.kind(), j.cache_json()))
-            .collect();
-        let rep_of = first_seen(&keys);
-        let reps: Vec<usize> = (0..n).filter(|&i| rep_of[i] == i).collect();
-        let mut slot_of = vec![usize::MAX; n];
-        for (slot, &i) in reps.iter().enumerate() {
-            slot_of[i] = slot;
-        }
-
-        // Approx mode: group representatives whose canonical specs
-        // differ only in their single policer token rate. Families of at
-        // least three points have an interior to interpolate; everything
-        // else simulates directly.
-        let mut singles: Vec<usize> = Vec::new();
-        let mut families: Vec<Vec<(u64, usize)>> = Vec::new();
-        if let Some(_eps) = eps {
-            let mut by_family: HashMap<String, Vec<(u64, usize)>> = HashMap::new();
-            for (slot, &i) in reps.iter().enumerate() {
-                match rate_family(&jobs[i]) {
-                    Some((fam, rate)) => by_family.entry(fam).or_default().push((rate, slot)),
-                    None => singles.push(slot),
-                }
-            }
-            // Deterministic order: families by their lowest member slot.
-            let mut fams: Vec<Vec<(u64, usize)>> = by_family.into_values().collect();
-            fams.sort_by_key(|f| f.iter().map(|&(_, slot)| slot).min());
-            for mut fam in fams {
-                if fam.len() < 3 {
-                    singles.extend(fam.iter().map(|&(_, slot)| slot));
-                } else {
-                    fam.sort_unstable();
-                    families.push(fam);
-                }
-            }
-            singles.sort_unstable();
-        } else {
-            singles = (0..reps.len()).collect();
-        }
-
-        let stages_before = profile::snapshot();
-        // `planned_sims` is the exact-mode upper bound; interpolation
-        // only ever retires slots early, so the ETA stays conservative.
-        let progress = Progress::new(n, reps.len(), self.progress);
-        let mut rep_points: Vec<Option<ClusterPoint<RunOutcome>>> = vec![None; reps.len()];
-
-        let single_results = self.fan_out(
-            singles.len(),
-            &progress,
-            |k| self.run_one(&jobs[reps[singles[k]]]),
-            counts,
-        );
-        for (&slot, (outcome, hit)) in singles.iter().zip(single_results) {
-            rep_points[slot] = Some(ClusterPoint {
-                outcome,
-                source: if hit {
-                    PointSource::Cached
-                } else {
-                    PointSource::Simulated
-                },
-            });
-        }
-
-        if let Some(eps) = eps {
-            for fam in &families {
-                self.bisect_family(jobs, &reps, fam, eps, &mut rep_points, &progress);
-            }
-        }
-
-        let out = (0..n)
-            .map(|i| {
-                let rep = rep_of[i];
-                let point = rep_points[slot_of[rep]]
-                    .as_ref()
-                    .expect("every representative resolved");
-                if rep == i {
-                    point.clone()
-                } else {
-                    progress.record_reused(counts(&point.outcome));
-                    ClusterPoint {
-                        outcome: point.outcome.clone(),
-                        source: PointSource::Reused {
-                            representative: rep,
-                        },
-                    }
-                }
-            })
-            .collect();
-        progress.finish();
-        profile::report(&format!("batch of {n}"), &stages_before);
-        out
-    }
-
-    /// Recursive (explicit-stack) bisection of one rate family, sorted
-    /// by rate: simulate the endpoints; where two bracketing anchors
-    /// agree within `eps` on every headline metric, the interior points
-    /// inherit the nearest anchor's outcome with a recorded bound;
-    /// otherwise split at the middle point and recurse on both halves.
-    fn bisect_family(
-        &self,
-        jobs: &[Job],
-        reps: &[usize],
-        fam: &[(u64, usize)],
-        eps: f64,
-        rep_points: &mut [Option<ClusterPoint<RunOutcome>>],
-        progress: &Progress,
-    ) {
-        let counts = |o: &RunOutcome| (o.policer_drops, o.queue_drops, o.shaper_drops);
-        let simulate = |idx: usize, rep_points: &mut [Option<ClusterPoint<RunOutcome>>]| {
-            let slot = fam[idx].1;
-            if rep_points[slot].is_none() {
-                let (outcome, hit) = self.run_one(&jobs[reps[slot]]);
-                progress.record_counts(counts(&outcome), hit);
-                rep_points[slot] = Some(ClusterPoint {
-                    outcome,
-                    source: if hit {
-                        PointSource::Cached
-                    } else {
-                        PointSource::Simulated
-                    },
-                });
-            }
-        };
-        simulate(0, rep_points);
-        simulate(fam.len() - 1, rep_points);
-        let mut stack = vec![(0usize, fam.len() - 1)];
-        while let Some((lo, hi)) = stack.pop() {
-            if hi - lo <= 1 {
-                continue;
-            }
-            let olo = rep_points[fam[lo].1].as_ref().expect("lo anchor simulated");
-            let ohi = rep_points[fam[hi].1].as_ref().expect("hi anchor simulated");
-            if anchors_agree(&olo.outcome, &ohi.outcome, eps) {
-                let bound = error_bound(&olo.outcome, &ohi.outcome);
-                let (olo, ohi) = (olo.clone(), ohi.clone());
-                for k in lo + 1..hi {
-                    // Nearest anchor by token-rate distance, ties to the
-                    // lower anchor.
-                    let nearest = if fam[k].0 - fam[lo].0 <= fam[hi].0 - fam[k].0 {
-                        &olo
-                    } else {
-                        &ohi
+                        source: source.clone(),
                     };
-                    progress.record_interpolated(counts(&nearest.outcome));
-                    rep_points[fam[k].1] = Some(ClusterPoint {
-                        outcome: nearest.outcome.clone(),
-                        source: PointSource::Interpolated {
-                            lo: reps[fam[lo].1],
-                            hi: reps[fam[hi].1],
-                            bound: bound.clone(),
-                        },
-                    });
                 }
-            } else {
-                let mid = (lo + hi) / 2;
-                simulate(mid, rep_points);
-                stack.push((lo, mid));
-                stack.push((mid, hi));
-            }
-        }
+                let outcome = outcome
+                    .canonical_order(rank(rep))
+                    .label_order(rank(i))
+                    .expect("one canonical form, one flow count");
+                let source = PointSource::Reused {
+                    representative: rep,
+                };
+                progress.record(outcome.drops(), &source);
+                ClusterPoint { outcome, source }
+            })
+            .collect();
+        progress.finish();
+        profile::report(&format!("batch of {n}"), &stages_before);
+        out
     }
 
-    /// The shared fan-out engine behind every batch entry point: `n`
-    /// points, each produced by `exec(i) -> (outcome, cache_hit)`, fanned
-    /// over the scoped thread pool with results returned **in index
-    /// order** regardless of thread count. `counts` extracts the drop
-    /// counters the live progress line accumulates.
-    fn fan_out<O: Send + Sync>(
+    /// The thread pool: `n` points, each produced by `exec(i) ->
+    /// (outcome, cache_hit)`, fanned over scoped workers with results
+    /// (and their provenance) returned **in index order** regardless of
+    /// thread count.
+    fn fan_out<O: PointOutcome>(
         &self,
         n: usize,
         progress: &Progress,
         exec: impl Fn(usize) -> (O, bool) + Sync,
-        counts: impl Fn(&O) -> (u64, u64, u64) + Sync,
-    ) -> Vec<(O, bool)> {
+    ) -> Vec<(O, PointSource)> {
         if n == 0 {
             return Vec::new();
         }
-        let slots: Vec<OnceLock<(O, bool)>> = (0..n).map(|_| OnceLock::new()).collect();
+        let slots: Vec<OnceLock<(O, PointSource)>> = (0..n).map(|_| OnceLock::new()).collect();
         let next = AtomicUsize::new(0);
         let workers = self.threads.clamp(1, n);
         std::thread::scope(|scope| {
@@ -1085,9 +799,14 @@ impl Runner {
                     if i >= n {
                         break;
                     }
-                    let result = exec(i);
-                    progress.record_counts(counts(&result.0), result.1);
-                    if slots[i].set(result).is_err() {
+                    let (outcome, cache_hit) = exec(i);
+                    let source = if cache_hit {
+                        PointSource::Cached
+                    } else {
+                        PointSource::Simulated
+                    };
+                    progress.record(outcome.drops(), &source);
+                    if slots[i].set((outcome, source)).is_err() {
                         panic!("each slot is filled once");
                     }
                 });
@@ -1099,87 +818,40 @@ impl Runner {
             .collect()
     }
 
-    /// Run one job, consulting the cache; returns `(outcome, cache_hit)`.
-    fn run_one(&self, job: &Job) -> (RunOutcome, bool) {
+    /// Run one point, consulting the cache; returns `(outcome,
+    /// cache_hit)`. `id` is the point's identity when the cluster pass
+    /// already computed it.
+    fn run_one<P: GridPoint>(&self, point: &P, id: Option<&Identity>) -> (P::Outcome, bool) {
         let Some(dir) = &self.cache_dir else {
-            return (job.execute(), false);
+            let outcome = match id {
+                Some(id) => execute(point, &id.spec),
+                None => execute(point, &point.spec()),
+            };
+            return (outcome, false);
         };
-        let config = job.cache_json();
-        let path = keys::cache_path(dir, job.kind(), &config);
-        if let Some(outcome) = load_cached(&path, job.kind(), &config) {
+        let computed;
+        let id = match id {
+            Some(id) => id,
+            None => {
+                computed = Identity::of(point);
+                &computed
+            }
+        };
+        let kind = point.kind();
+        let path = keys::cache_path(dir, kind, &id.address);
+        let cached = load_cached::<P::Outcome>(&path, kind, &id.address)
+            .and_then(|canon| canon.label_order(&id.rank));
+        if let Some(outcome) = cached {
             return (outcome, true);
         }
-        let outcome = job.execute();
+        let outcome = execute(point, &id.spec);
         store_cached(
             dir,
             &path,
             &CacheEntry {
-                kind: job.kind().to_string(),
-                config,
-                outcome: outcome.clone(),
-            },
-        );
-        (outcome, false)
-    }
-
-    /// Run one aggregate config, consulting the cache. Entries are
-    /// addressed by the config's canonical spec and stored in canonical
-    /// flow order, so every member of a symmetry class shares one entry;
-    /// outcomes are transplanted back through this config's rank map.
-    fn run_one_aggregate(&self, cfg: &AggregateConfig) -> (AggregateOutcome, bool) {
-        let Some(dir) = &self.cache_dir else {
-            return (run_aggregate(cfg), false);
-        };
-        let canon = canonicalize(&aggregate_spec(cfg));
-        let rank = media_flow_ranks(&canon, cfg.flows);
-        let config = keys::cache_address(canon.spec.to_value(), aggregate_scoring(cfg));
-        let path = keys::cache_path(dir, AGGREGATE_KIND, &config);
-        if let Some(canon_out) = load_cached_aggregate(&path, AGGREGATE_KIND, &config) {
-            // Flow-count guard against a stale entry shape; the address
-            // fixes the canonical spec, so the count always matches in
-            // practice.
-            if canon_out.per_flow.len() == cfg.flows as usize {
-                return (from_canonical_order(&canon_out, &rank), true);
-            }
-        }
-        let outcome = run_aggregate(cfg);
-        store_cached_aggregate(
-            dir,
-            &path,
-            &AggregateCacheEntry {
-                kind: AGGREGATE_KIND.to_string(),
-                config,
-                outcome: to_canonical_order(&outcome, &rank),
-            },
-        );
-        (outcome, false)
-    }
-
-    /// Run one transport-level job, consulting the cache. Entries are
-    /// addressed by the canonical spec + scoring and stored in canonical
-    /// flow order (the aggregate path's discipline).
-    fn run_one_flows(&self, job: &FlowJob) -> (FlowsOutcome, bool) {
-        let Some(dir) = &self.cache_dir else {
-            return (job.execute(), false);
-        };
-        let (spec, scoring) = job.spec_scoring();
-        let canon = canonicalize(&spec);
-        let rank = media_flow_ranks(&canon, job.flows());
-        let config = keys::cache_address(canon.spec.to_value(), scoring);
-        let path = keys::cache_path(dir, job.kind(), &config);
-        if let Some(canon_out) = load_cached_flows(&path, job.kind(), &config) {
-            if canon_out.per_flow.len() == job.flows() as usize {
-                return (flows_from_canonical_order(&canon_out, &rank), true);
-            }
-        }
-        let outcome = job.execute();
-        store_cached_flows(
-            dir,
-            &path,
-            &FlowsCacheEntry {
-                kind: job.kind().to_string(),
-                config,
-                outcome: flows_to_canonical_order(&outcome, &rank),
+                kind: kind.to_string(),
+                config: id.address.clone(),
+                outcome: outcome.canonical_order(&id.rank).to_value(),
             },
         );
         (outcome, false)
@@ -1193,12 +865,8 @@ impl Runner {
         depths: &[u32],
         label: impl Into<String>,
     ) -> SweepResult {
-        let jobs = grid_jobs(rates, depths, |rate, depth| {
-            let mut cfg = base.clone();
-            cfg.profile = EfProfile::new(rate, depth);
-            Job::Qbone(cfg)
-        });
-        self.collect_sweep(jobs, rates, depths, label)
+        let outcomes = self.run(&qbone_grid(base, rates, depths));
+        SweepResult::assemble(outcomes, rates, depths, label)
     }
 
     /// Run a local-testbed grid through this runner.
@@ -1209,38 +877,8 @@ impl Runner {
         depths: &[u32],
         label: impl Into<String>,
     ) -> SweepResult {
-        let jobs = grid_jobs(rates, depths, |rate, depth| {
-            let mut cfg = base.clone();
-            cfg.profile = EfProfile::new(rate, depth);
-            Job::Local(cfg)
-        });
-        self.collect_sweep(jobs, rates, depths, label)
-    }
-
-    fn collect_sweep(
-        &self,
-        jobs: Vec<Job>,
-        rates: &[u64],
-        depths: &[u32],
-        label: impl Into<String>,
-    ) -> SweepResult {
-        let outcomes = self.run(&jobs);
-        let points = depths
-            .iter()
-            .flat_map(|&depth| rates.iter().map(move |&rate| (rate, depth)))
-            .zip(outcomes)
-            .map(
-                |((token_rate_bps, bucket_depth_bytes), outcome)| SweepPoint {
-                    token_rate_bps,
-                    bucket_depth_bytes,
-                    outcome,
-                },
-            )
-            .collect();
-        SweepResult {
-            label: label.into(),
-            points,
-        }
+        let outcomes = self.run(&local_grid(base, rates, depths));
+        SweepResult::assemble(outcomes, rates, depths, label)
     }
 
     /// Run a batch of QBone configurations, outcomes in input order.
@@ -1262,20 +900,6 @@ impl Runner {
     }
 }
 
-/// The cache/cluster kind tag of aggregate runs.
-const AGGREGATE_KIND: &str = "aggregate";
-
-/// The scoring parameters of an aggregate run (its cache address pairs
-/// these with the canonical spec).
-fn aggregate_scoring(cfg: &AggregateConfig) -> Value {
-    // Stamped like `Job::cache_json`: a non-default QoE estimator is part
-    // of the identity (full mode adds nothing).
-    crate::qoe::stamp_scoring(Value::Object(vec![
-        ("clip".to_string(), cfg.clip.to_value()),
-        ("encoding_bps".to_string(), cfg.encoding_bps.to_value()),
-    ]))
-}
-
 /// Parse a `DSV_CLUSTER` value; unrecognized input warns on stderr and
 /// falls back to the exact default rather than silently changing
 /// semantics.
@@ -1284,123 +908,42 @@ fn cluster_mode_from_str(v: &str) -> ClusterMode {
         "off" | "0" => ClusterMode::Off,
         "" | "exact" | "1" => ClusterMode::Exact,
         _ => {
-            if let Some(eps) = v.strip_prefix("approx:") {
-                match eps.trim().parse::<f64>() {
-                    Ok(e) if e.is_finite() && e >= 0.0 => return ClusterMode::Approx(e),
-                    _ => eprintln!(
-                        "[runner] DSV_CLUSTER={v:?}: tolerance must be a finite number >= 0; \
-                         using exact clustering"
-                    ),
-                }
-            } else {
-                eprintln!(
-                    "[runner] DSV_CLUSTER={v:?} not recognized \
-                     (expected off, exact or approx:<eps>); using exact clustering"
-                );
-            }
+            eprintln!(
+                "[runner] DSV_CLUSTER={v:?} not recognized \
+                 (expected off or exact); using exact clustering"
+            );
             ClusterMode::Exact
         }
     }
 }
 
-/// Map each index to the first index carrying the same key (itself for
-/// class representatives).
-fn first_seen(keys: &[String]) -> Vec<usize> {
-    let mut seen: HashMap<&str, usize> = HashMap::new();
-    keys.iter()
-        .enumerate()
-        .map(|(i, k)| *seen.entry(k.as_str()).or_insert(i))
-        .collect()
-}
-
-/// The approx-mode rate-family key of a job: its canonical spec with the
-/// single distinct policer token rate masked out (in the policer actions
-/// and the matching audit bounds), paired with that rate. Two jobs in one
-/// family differ **only** in that rate — the one independent variable
-/// the paper's rate sweeps move — so interpolating between them walks a
-/// curve the metamorphic monotonicity oracles certify as mostly
-/// monotone. Jobs with zero or several distinct policer rates have no
-/// family and always simulate.
-fn rate_family(job: &Job) -> Option<(String, u64)> {
-    let (spec, scoring) = job.spec_scoring();
-    let mut canon = canonicalize(&spec).spec;
-    let mut rates: Vec<u64> = canon
-        .conditioners
-        .iter()
-        .flat_map(|c| c.rules.iter())
-        .filter_map(|r| match r.action {
-            ActionSpec::Police { rate_bps, .. } => Some(rate_bps),
-            _ => None,
+/// The depth-major job grid of a QBone sweep (the order `SweepResult`
+/// documents): `base` at every `(rate, depth)` profile.
+pub(crate) fn qbone_grid(base: &QboneConfig, rates: &[u64], depths: &[u32]) -> Vec<Job> {
+    profile_grid(rates, depths, |profile| {
+        Job::Qbone(QboneConfig {
+            profile,
+            ..base.clone()
         })
-        .collect();
-    rates.sort_unstable();
-    rates.dedup();
-    if rates.len() != 1 || rates[0] == 0 {
-        return None;
-    }
-    let rate = rates[0];
-    for c in &mut canon.conditioners {
-        for r in &mut c.rules {
-            if let ActionSpec::Police { rate_bps, .. } = &mut r.action {
-                *rate_bps = 0;
-            }
-        }
-    }
-    for b in &mut canon.bounds {
-        if b.rate_bps == rate {
-            b.rate_bps = 0;
-        }
-    }
-    Some((
-        format!(
-            "{}\0{}",
-            job.kind(),
-            keys::cache_address(canon.to_value(), scoring)
-        ),
-        rate,
-    ))
+    })
 }
 
-/// True when two anchors agree within `eps` on every headline metric
-/// (and broke down the same way) — the gate for interpolating between
-/// them.
-fn anchors_agree(a: &RunOutcome, b: &RunOutcome, eps: f64) -> bool {
-    let close = |x: f64, y: f64| (x - y).abs() <= eps;
-    close(a.quality, b.quality)
-        && close(a.frame_loss, b.frame_loss)
-        && close(a.packet_loss, b.packet_loss)
-        && match (a.quality_vs_best, b.quality_vs_best) {
-            (None, None) => true,
-            (Some(x), Some(y)) => close(x, y),
-            _ => false,
-        }
-        && a.broken == b.broken
+/// The depth-major job grid of a local-testbed sweep.
+pub(crate) fn local_grid(base: &LocalConfig, rates: &[u64], depths: &[u32]) -> Vec<Job> {
+    profile_grid(rates, depths, |profile| {
+        Job::Local(LocalConfig {
+            profile,
+            ..base.clone()
+        })
+    })
 }
 
-/// The recorded bound for points interpolated between two anchors: the
-/// anchor spread (monotone truth lies between the anchors) plus the
-/// wobble allowance for the curves' residual non-monotonicity.
-fn error_bound(a: &RunOutcome, b: &RunOutcome) -> ErrorBound {
-    ErrorBound {
-        quality: (a.quality - b.quality).abs() + WOBBLE_QUALITY,
-        frame_loss: (a.frame_loss - b.frame_loss).abs() + WOBBLE_LOSS,
-        packet_loss: (a.packet_loss - b.packet_loss).abs() + WOBBLE_LOSS,
-        quality_vs_best: match (a.quality_vs_best, b.quality_vs_best) {
-            (Some(x), Some(y)) => Some((x - y).abs() + WOBBLE_QUALITY),
-            _ => None,
-        },
-    }
-}
-
-/// Build the depth-major job grid (the order `SweepResult` documents).
-fn grid_jobs(rates: &[u64], depths: &[u32], mut make: impl FnMut(u64, u32) -> Job) -> Vec<Job> {
-    let mut jobs = Vec::with_capacity(rates.len() * depths.len());
-    for &depth in depths {
-        for &rate in rates {
-            jobs.push(make(rate, depth));
-        }
-    }
-    jobs
+fn profile_grid(rates: &[u64], depths: &[u32], make: impl Fn(EfProfile) -> Job) -> Vec<Job> {
+    depths
+        .iter()
+        .flat_map(|&depth| rates.iter().map(move |&rate| EfProfile::new(rate, depth)))
+        .map(make)
+        .collect()
 }
 
 /// Read `path` and run `parse` over its contents, re-reading once if the
@@ -1431,10 +974,13 @@ fn retry_torn_read<T>(path: &Path, parse: impl Fn(&str) -> Option<T>) -> Option<
 }
 
 /// Load a cache entry if it exists *and* addresses exactly this config.
-fn load_cached(path: &Path, kind: &str, config: &str) -> Option<RunOutcome> {
+fn load_cached<O: Deserialize>(path: &Path, kind: &str, config: &str) -> Option<O> {
     retry_torn_read(path, |text| {
         let entry: CacheEntry = serde_json::from_str(text).ok()?;
-        (entry.kind == kind && entry.config == config).then_some(entry.outcome)
+        if entry.kind != kind || entry.config != config {
+            return None;
+        }
+        O::from_value(&entry.outcome).ok()
     })
 }
 
@@ -1448,56 +994,6 @@ fn store_cached(dir: &Path, path: &Path, entry: &CacheEntry) {
     let json = serde_json::to_string_pretty(entry).expect("cache entry serializes");
     let tmp = dir.join(format!(
         ".tmp-{}-{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    if fs::write(&tmp, json).is_ok() && fs::rename(&tmp, path).is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-}
-
-/// Load a transport-run cache entry if it addresses exactly this config.
-fn load_cached_flows(path: &Path, kind: &str, config: &str) -> Option<FlowsOutcome> {
-    retry_torn_read(path, |text| {
-        let entry: FlowsCacheEntry = serde_json::from_str(text).ok()?;
-        (entry.kind == kind && entry.config == config).then_some(entry.outcome)
-    })
-}
-
-/// Persist a transport-run cache entry atomically, best-effort.
-fn store_cached_flows(dir: &Path, path: &Path, entry: &FlowsCacheEntry) {
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    if fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let json = serde_json::to_string_pretty(entry).expect("cache entry serializes");
-    let tmp = dir.join(format!(
-        ".tmp-flows-{}-{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    if fs::write(&tmp, json).is_ok() && fs::rename(&tmp, path).is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-}
-
-/// Load an aggregate cache entry if it addresses exactly this config.
-fn load_cached_aggregate(path: &Path, kind: &str, config: &str) -> Option<AggregateOutcome> {
-    retry_torn_read(path, |text| {
-        let entry: AggregateCacheEntry = serde_json::from_str(text).ok()?;
-        (entry.kind == kind && entry.config == config).then_some(entry.outcome)
-    })
-}
-
-/// Persist an aggregate cache entry atomically, best-effort.
-fn store_cached_aggregate(dir: &Path, path: &Path, entry: &AggregateCacheEntry) {
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    if fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let json = serde_json::to_string_pretty(entry).expect("cache entry serializes");
-    let tmp = dir.join(format!(
-        ".tmp-agg-{}-{}",
         std::process::id(),
         TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
@@ -1573,62 +1069,10 @@ mod tests {
         assert_eq!(cluster_mode_from_str("exact"), ClusterMode::Exact);
         assert_eq!(cluster_mode_from_str("1"), ClusterMode::Exact);
         assert_eq!(cluster_mode_from_str(""), ClusterMode::Exact);
-        assert_eq!(
-            cluster_mode_from_str("approx:0.05"),
-            ClusterMode::Approx(0.05)
-        );
-        // Garbage (including non-finite or negative tolerances) warns
+        // Garbage — including an `approx:<eps>` tolerance — warns
         // and falls back to the exact default.
-        assert_eq!(cluster_mode_from_str("approx:"), ClusterMode::Exact);
-        assert_eq!(cluster_mode_from_str("approx:-1"), ClusterMode::Exact);
-        assert_eq!(cluster_mode_from_str("approx:inf"), ClusterMode::Exact);
+        assert_eq!(cluster_mode_from_str("approx:0.05"), ClusterMode::Exact);
         assert_eq!(cluster_mode_from_str("fast"), ClusterMode::Exact);
-    }
-
-    #[test]
-    fn rate_families_group_rate_neighbours_only() {
-        // Two qbone configs differing only in policer token rate share a
-        // family and carry their own rates; a different bucket depth is
-        // a different family.
-        let mut a = tiny_base();
-        a.profile = EfProfile::new(1_000_000, DEPTH_2MTU);
-        let mut b = tiny_base();
-        b.profile = EfProfile::new(1_200_000, DEPTH_2MTU);
-        let mut c = tiny_base();
-        c.profile = EfProfile::new(1_000_000, DEPTH_3MTU);
-        let (fam_a, rate_a) = rate_family(&Job::Qbone(a)).unwrap();
-        let (fam_b, rate_b) = rate_family(&Job::Qbone(b)).unwrap();
-        let (fam_c, _) = rate_family(&Job::Qbone(c)).unwrap();
-        assert_eq!(fam_a, fam_b);
-        assert_eq!((rate_a, rate_b), (1_000_000, 1_200_000));
-        assert_ne!(fam_a, fam_c);
-    }
-
-    #[test]
-    fn error_bounds_cover_anchor_spread_plus_wobble() {
-        let a = RunOutcome {
-            quality: 0.30,
-            frame_loss: 0.10,
-            packet_loss: 0.05,
-            ..Default::default()
-        };
-        let mut b = RunOutcome {
-            quality: 0.20,
-            frame_loss: 0.12,
-            packet_loss: 0.05,
-            ..Default::default()
-        };
-        assert!(anchors_agree(&a, &b, 0.1));
-        assert!(!anchors_agree(&a, &b, 0.05));
-        let bound = error_bound(&a, &b);
-        assert!((bound.quality - (0.10 + WOBBLE_QUALITY)).abs() < 1e-12);
-        assert!((bound.frame_loss - (0.02 + WOBBLE_LOSS)).abs() < 1e-12);
-        assert!((bound.packet_loss - WOBBLE_LOSS).abs() < 1e-12);
-        assert!(bound.quality_vs_best.is_none());
-        // A broken session never merges with a healthy one, however
-        // close the numbers.
-        b.broken = true;
-        assert!(!anchors_agree(&a, &b, 1.0));
     }
 
     #[test]
@@ -1637,9 +1081,9 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let runner = Runner::serial().with_cache(Some(dir.clone()));
         let job = Job::Qbone(tiny_base());
-        let (cold, hit0) = runner.run_one(&job);
+        let (cold, hit0) = runner.run_one(&job, None);
         assert!(!hit0, "first run must be a miss");
-        let (warm, hit1) = runner.run_one(&job);
+        let (warm, hit1) = runner.run_one(&job, None);
         assert!(hit1, "second run must hit");
         assert_eq!(
             serde_json::to_string(&cold).unwrap(),
@@ -1648,9 +1092,116 @@ mod tests {
         // A different profile is a different address: no false hit.
         let mut other = tiny_base();
         other.profile = EfProfile::new(1_100_000, DEPTH_3MTU);
-        let (_, hit2) = runner.run_one(&Job::Qbone(other));
+        let (_, hit2) = runner.run_one(&Job::Qbone(other), None);
         assert!(!hit2, "changed config must miss");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The cache file name one point of a family addresses.
+    fn cache_file<P: GridPoint>(point: &P) -> String {
+        let path = keys::cache_path(Path::new(""), point.kind(), &Identity::of(point).address);
+        path.to_string_lossy().into_owned()
+    }
+
+    #[test]
+    fn cache_file_names_are_pinned_per_family() {
+        // One figure-grid point per testbed family. Cache files on disk
+        // are named by these addresses, so a change to any of them
+        // orphans every cached entry of that family.
+        use crate::smoothing::SmoothingServer;
+        let _full = crate::qoe::force_mode(crate::qoe::QoeMode::Full);
+        let qbone = QboneConfig::new(
+            ClipId2::Lost,
+            1_700_000,
+            EfProfile::new(1_496_000, DEPTH_2MTU),
+        );
+        let local = LocalConfig::new(
+            ClipId2::Lost,
+            EfProfile::new(700_000, DEPTH_2MTU),
+            crate::local::LocalTransport::Tcp,
+        );
+        let af = AfConfig::new(ClipId2::Lost, 1_500_000, 0);
+        let aggregate = AggregateConfig::new(
+            ClipId2::Lost,
+            1_000_000,
+            2,
+            EfProfile::new(2_000_000, DEPTH_2MTU),
+        );
+        let smoothing = SmoothingConfig::new(
+            ClipId2::Lost,
+            1_500_000,
+            SmoothingServer::Tcp,
+            EfProfile::new(800_000, DEPTH_2MTU),
+        );
+        let af_tcp = AfTcpConfig::new(vec![450_000; 4], vec![0; 4]);
+        let names = [
+            cache_file(&Job::Qbone(qbone)),
+            cache_file(&Job::Local(local)),
+            cache_file(&Job::Af(af)),
+            cache_file(&aggregate.clone().with_rotation(1)),
+            cache_file(&aggregate),
+            cache_file(&FlowJob::Smoothing(smoothing)),
+            cache_file(&FlowJob::AfTcp(af_tcp)),
+        ];
+        assert_eq!(
+            names,
+            [
+                "qbone-59efef2fb6b45f65.json",
+                "local-def89f5a6affa17c.json",
+                "af-e562520b90a15b9c.json",
+                "aggregate-605b72f6c8e0d2c6.json",
+                "aggregate-605b72f6c8e0d2c6.json",
+                "smoothing-1d169b25da3d1320.json",
+                "af_tcp-8999ce1b7c6595ed.json",
+            ]
+        );
+    }
+
+    /// Store `twin`'s outcome in a fresh cache, then run `rotated` on it:
+    /// the rotated point must hit its twin's entry and return exactly
+    /// what its own uncached run returns.
+    fn assert_rotation_hits_twin_entry<P: GridPoint>(tag: &str, twin: &P, rotated: &P) {
+        let dir = std::env::temp_dir().join(format!("dsv-runner-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let runner = Runner::serial().with_cache(Some(dir.clone()));
+        let json = |o: &P::Outcome| serde_json::to_string(o).unwrap();
+        let (twin_out, twin_hit) = runner.run_one(twin, None);
+        assert!(!twin_hit, "the twin fills an empty cache");
+        assert_eq!(
+            cache_file(twin),
+            cache_file(rotated),
+            "one class, one entry"
+        );
+        let (served, hit) = runner.run_one(rotated, None);
+        assert!(hit, "the rotated point must hit its twin's entry");
+        let uncached = Runner::serial().outcomes(std::slice::from_ref(rotated));
+        assert_eq!(json(&served), json(&uncached[0]));
+        // Non-vacuity: the rotation moved per-flow outcomes between labels.
+        assert_ne!(json(&served), json(&twin_out));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rotated_aggregate_round_trips_through_its_twins_cache_entry() {
+        // A starved point, where declaration positions see different
+        // outcomes, so the canonical-order round trip is not an identity.
+        let cfg = AggregateConfig::new(
+            ClipId2::Lost,
+            1_000_000,
+            2,
+            EfProfile::new(1_800_000, DEPTH_2MTU),
+        );
+        assert_rotation_hits_twin_entry("agg-rot", &cfg, &cfg.clone().with_rotation(1));
+    }
+
+    #[test]
+    fn rotated_af_tcp_round_trips_through_its_twins_cache_entry() {
+        // Heterogeneous targets attach to declaration positions, so the
+        // rotated run reports them under different flow labels.
+        let mut cfg = AfTcpConfig::new(vec![250_000, 500_000, 750_000, 1_350_000], vec![0; 4]);
+        cfg.duration_us = 5_000_000;
+        let rotated = FlowJob::AfTcp(cfg.clone().with_rotation(1));
+        assert_rotation_hits_twin_entry("af-tcp-rot", &FlowJob::AfTcp(cfg), &rotated);
     }
 
     #[test]
@@ -1661,12 +1212,12 @@ mod tests {
         let runner = Runner::serial().with_cache(Some(dir.clone()));
         let job = Job::Qbone(tiny_base());
         // Poison the exact cache path this job addresses.
-        let path = keys::cache_path(&dir, job.kind(), &job.cache_json());
+        let path = keys::cache_path(&dir, job.kind(), &Identity::of(&job).address);
         fs::write(&path, "{not json").unwrap();
-        let (_, hit) = runner.run_one(&job);
+        let (_, hit) = runner.run_one(&job, None);
         assert!(!hit, "corrupt entry must not count as a hit");
         // And it must have been repaired in place.
-        let (_, hit2) = runner.run_one(&job);
+        let (_, hit2) = runner.run_one(&job, None);
         assert!(hit2, "repaired entry hits");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1717,12 +1268,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dsv-runner-race-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let job = Job::Qbone(tiny_base());
-        let config = job.cache_json();
+        let id = Identity::of(&job);
+        let config = id.address.clone();
         let path = keys::cache_path(&dir, job.kind(), &config);
         let entry = CacheEntry {
             kind: job.kind().to_string(),
             config: config.clone(),
-            outcome: job.execute(),
+            outcome: execute(&job, &id.spec).to_value(),
         };
         let expected = serde_json::to_string(&entry.outcome).unwrap();
         std::thread::scope(|scope| {
@@ -1736,7 +1288,8 @@ mod tests {
             for _ in 0..3 {
                 scope.spawn(|| {
                     for _ in 0..200 {
-                        if let Some(outcome) = load_cached(&path, job.kind(), &config) {
+                        if let Some(outcome) = load_cached::<RunOutcome>(&path, job.kind(), &config)
+                        {
                             assert_eq!(serde_json::to_string(&outcome).unwrap(), expected);
                         }
                     }
@@ -1747,7 +1300,7 @@ mod tests {
         // may finish polling before any writer is scheduled, so this is
         // checked after the scope joins every thread.)
         assert!(
-            load_cached(&path, job.kind(), &config).is_some(),
+            load_cached::<RunOutcome>(&path, job.kind(), &config).is_some(),
             "entry should become visible to readers"
         );
         // No temp files leak from the racing writers.

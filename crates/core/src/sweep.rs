@@ -46,6 +46,32 @@ impl SweepResult {
         pts
     }
 
+    /// Pair outcomes in the runner's depth-major grid order (see
+    /// [`crate::runner::Runner::qbone_sweep`]) with their `(rate, depth)`.
+    pub(crate) fn assemble(
+        outcomes: Vec<RunOutcome>,
+        rates: &[u64],
+        depths: &[u32],
+        label: impl Into<String>,
+    ) -> SweepResult {
+        let points = depths
+            .iter()
+            .flat_map(|&depth| rates.iter().map(move |&rate| (rate, depth)))
+            .zip(outcomes)
+            .map(
+                |((token_rate_bps, bucket_depth_bytes), outcome)| SweepPoint {
+                    token_rate_bps,
+                    bucket_depth_bytes,
+                    outcome,
+                },
+            )
+            .collect();
+        SweepResult {
+            label: label.into(),
+            points,
+        }
+    }
+
     /// Depths present in the sweep.
     pub fn depths(&self) -> Vec<u32> {
         let mut d: Vec<u32> = self.points.iter().map(|p| p.bucket_depth_bytes).collect();

@@ -142,8 +142,40 @@ fn to_limits(l: &LimitsSpec) -> QueueLimits {
     }
 }
 
-fn build_qdisc(q: &QdiscSpec) -> Box<dyn Qdisc<StreamPayload>> {
-    match q {
+/// Reject a zero in any of `fields`: each is a rate, size or count the
+/// component divides by or needs at least one of. `what` names the
+/// component in the error (formatted only on the error path).
+fn require_positive(
+    what: impl FnOnce() -> String,
+    fields: &[(&str, u64)],
+) -> Result<(), CompileError> {
+    match fields.iter().find(|&&(_, value)| value == 0) {
+        Some((field, _)) => Err(CompileError::new(format!(
+            "{} has `{field}` 0; it must be positive",
+            what()
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Reject an ABR ladder the rung policy cannot climb: empty or not
+/// ascending.
+fn check_ladder(what: impl FnOnce() -> String, rungs: &[u64]) -> Result<(), CompileError> {
+    if rungs.is_empty() || rungs.windows(2).any(|w| w[0] > w[1]) {
+        return Err(CompileError::new(format!(
+            "{} has `rungs_bps` {rungs:?}; a ladder needs at least one rung, ascending",
+            what()
+        )));
+    }
+    Ok(())
+}
+
+/// `what` names the link direction in an error.
+fn build_qdisc(
+    q: &QdiscSpec,
+    what: impl FnOnce() -> String,
+) -> Result<Box<dyn Qdisc<StreamPayload>>, CompileError> {
+    Ok(match q {
         QdiscSpec::DropTail { limits } => Box::new(DropTailQueue::new(to_limits(limits))),
         QdiscSpec::StrictPriorityEf { ef, be } => Box::new(StrictPriorityQueue::ef_default(
             to_limits(ef),
@@ -152,8 +184,14 @@ fn build_qdisc(q: &QdiscSpec) -> Box<dyn Qdisc<StreamPayload>> {
         QdiscSpec::Wred {
             capacity_bytes,
             seed,
-        } => Box::new(WredQueue::af_default(*capacity_bytes, *seed)),
-    }
+        } => {
+            require_positive(
+                || format!("the wred queue on {}", what()),
+                &[("capacity_bytes", *capacity_bytes)],
+            )?;
+            Box::new(WredQueue::af_default(*capacity_bytes, *seed))
+        }
+    })
 }
 
 fn kind_fn(codec: CodecSpec) -> fn(u32) -> dsv_media::frame::FrameKind {
@@ -310,13 +348,16 @@ impl AppBuilder<'_> {
                 dscp,
                 rungs_bps,
                 segment_us,
-            } => Box::new(AbrServer::new(AbrServerConfig {
-                client: ids.get(client)?,
-                flow: FlowId(*flow),
-                dscp: dscp.to_dscp(),
-                rungs: rungs_bps.clone(),
-                segment_us: *segment_us,
-            })),
+            } => {
+                check_ladder(|| format!("abr_server `{name}`"), rungs_bps)?;
+                Box::new(AbrServer::new(AbrServerConfig {
+                    client: ids.get(client)?,
+                    flow: FlowId(*flow),
+                    dscp: dscp.to_dscp(),
+                    rungs: rungs_bps.clone(),
+                    segment_us: *segment_us,
+                }))
+            }
             AppSpec::AbrClient {
                 server,
                 up_flow,
@@ -326,6 +367,12 @@ impl AppBuilder<'_> {
                 segments,
                 max_buffer_us,
             } => {
+                let what = || format!("abr_client `{name}`");
+                check_ladder(what, rungs_bps)?;
+                require_positive(
+                    what,
+                    &[("step_us", *step_us), ("segments", u64::from(*segments))],
+                )?;
                 let (h, app) = Shared::new(AbrClient::new(AbrClientConfig {
                     server: ids.get(server)?,
                     up_flow: FlowId(*up_flow),
@@ -397,18 +444,15 @@ impl AppBuilder<'_> {
                 // A zero here means a source that never stops sending
                 // empty packets, one whose packets take forever to send,
                 // or an exponential with no mean.
-                for (field, value) in [
-                    ("packet_size", u64::from(*packet_size)),
-                    ("peak_rate_bps", *peak_rate_bps),
-                    ("mean_on_us", *mean_on_us),
-                    ("mean_off_us", *mean_off_us),
-                ] {
-                    if value == 0 {
-                        return Err(CompileError::new(format!(
-                            "on_off_source `{name}` has `{field}` 0; it must be positive"
-                        )));
-                    }
-                }
+                require_positive(
+                    || format!("on_off_source `{name}`"),
+                    &[
+                        ("packet_size", u64::from(*packet_size)),
+                        ("peak_rate_bps", *peak_rate_bps),
+                        ("mean_on_us", *mean_on_us),
+                        ("mean_off_us", *mean_off_us),
+                    ],
+                )?;
                 Box::new(OnOffSource::new(
                     ids.get(dst)?,
                     FlowId(*flow),
@@ -428,14 +472,21 @@ impl AppBuilder<'_> {
                 count,
                 size,
                 gap_ns,
-            } => Box::new(Pump {
-                dst: ids.get(dst)?,
-                flow: FlowId(*flow),
-                count: *count,
-                size: *size,
-                gap: SimDuration::from_nanos(*gap_ns),
-                sent: 0,
-            }),
+            } => {
+                // Either zero makes a silent zero-traffic run.
+                require_positive(
+                    || format!("pump `{name}`"),
+                    &[("count", u64::from(*count)), ("size", u64::from(*size))],
+                )?;
+                Box::new(Pump {
+                    dst: ids.get(dst)?,
+                    flow: FlowId(*flow),
+                    count: *count,
+                    size: *size,
+                    gap: SimDuration::from_nanos(*gap_ns),
+                    sent: 0,
+                })
+            }
             AppSpec::IdSink => {
                 let (h, app) = Shared::new(IdSink::default());
                 self.id_sinks.push((name.to_string(), h));
@@ -455,44 +506,88 @@ fn build_match(m: &MatchSpec, ids: &Resolver<'_>) -> Result<MatchRule, CompileEr
     })
 }
 
-fn build_action(a: &ActionSpec) -> PolicyAction<StreamPayload> {
-    match a {
+/// Lower one conditioner rule's action; `node` names the conditioner in
+/// an error. Token buckets and meters need a positive rate and depth.
+fn build_action(a: &ActionSpec, node: &str) -> Result<PolicyAction<StreamPayload>, CompileError> {
+    let what = |kind: &str| format!("the {kind} rule at `{node}`");
+    Ok(match a {
         ActionSpec::Police {
             rate_bps,
             depth_bytes,
             conform_mark,
-        } => PolicyAction::Police(Policer::new(
-            TokenBucket::new(*rate_bps, *depth_bytes),
-            conform_mark.map(|d| d.to_dscp()),
-            ExceedAction::Drop,
-        )),
+        } => {
+            require_positive(
+                || what("police"),
+                &[
+                    ("rate_bps", *rate_bps),
+                    ("depth_bytes", u64::from(*depth_bytes)),
+                ],
+            )?;
+            PolicyAction::Police(Policer::new(
+                TokenBucket::new(*rate_bps, *depth_bytes),
+                conform_mark.map(|d| d.to_dscp()),
+                ExceedAction::Drop,
+            ))
+        }
         ActionSpec::Shape {
             rate_bps,
             depth_bytes,
             max_queue_bytes,
-        } => PolicyAction::Shape(Shaper::new(*rate_bps, *depth_bytes, *max_queue_bytes)),
+        } => {
+            require_positive(
+                || what("shape"),
+                &[
+                    ("rate_bps", *rate_bps),
+                    ("depth_bytes", u64::from(*depth_bytes)),
+                ],
+            )?;
+            PolicyAction::Shape(Shaper::new(*rate_bps, *depth_bytes, *max_queue_bytes))
+        }
         ActionSpec::MeterAf {
             cir_bps,
             cbs_bytes,
             ebs_bytes,
             class,
-        } => PolicyAction::MeterAf {
-            meter: SrTcm::new(*cir_bps, *cbs_bytes, *ebs_bytes),
-            class: *class,
-        },
+        } => {
+            require_positive(
+                || what("meter_af"),
+                &[("cir_bps", *cir_bps), ("cbs_bytes", u64::from(*cbs_bytes))],
+            )?;
+            PolicyAction::MeterAf {
+                meter: SrTcm::new(*cir_bps, *cbs_bytes, *ebs_bytes),
+                class: *class,
+            }
+        }
         ActionSpec::MeterTrtcm {
             pir_bps,
             pbs_bytes,
             cir_bps,
             cbs_bytes,
             class,
-        } => PolicyAction::MeterTrtcm {
-            meter: TrTcm::new(*pir_bps, *pbs_bytes, *cir_bps, *cbs_bytes),
-            class: *class,
-        },
+        } => {
+            require_positive(
+                || what("meter_trtcm"),
+                &[
+                    ("pir_bps", *pir_bps),
+                    ("pbs_bytes", u64::from(*pbs_bytes)),
+                    ("cir_bps", *cir_bps),
+                    ("cbs_bytes", u64::from(*cbs_bytes)),
+                ],
+            )?;
+            if pir_bps < cir_bps {
+                return Err(CompileError::new(format!(
+                    "{} has `pir_bps` {pir_bps} below `cir_bps` {cir_bps}",
+                    what("meter_trtcm")
+                )));
+            }
+            PolicyAction::MeterTrtcm {
+                meter: TrTcm::new(*pir_bps, *pbs_bytes, *cir_bps, *cbs_bytes),
+                class: *class,
+            }
+        }
         ActionSpec::Mark { dscp } => PolicyAction::Mark(dscp.to_dscp()),
         ActionSpec::Pass => PolicyAction::Pass,
-    }
+    })
 }
 
 /// Reject the topologies `NetworkBuilder::build` cannot route: a host
@@ -586,6 +681,20 @@ pub fn compile(
                 )));
             }
         }
+        // An on-off source faster than its access link would pile its ON
+        // bursts into its own host's queue without bound.
+        for (host, out_bps) in [(a, link.ab.rate_bps), (z, link.ba.rate_bps)] {
+            let node = &spec.nodes[host.0 as usize];
+            if let Some(AppSpec::OnOffSource { peak_rate_bps, .. }) = &node.app {
+                if *peak_rate_bps > out_bps {
+                    return Err(CompileError::new(format!(
+                        "on_off_source `{}` has `peak_rate_bps` {peak_rate_bps}, above its \
+                         {out_bps} bps access link",
+                        node.name
+                    )));
+                }
+            }
+        }
         peers[a.0 as usize].push(z.0 as usize);
         peers[z.0 as usize].push(a.0 as usize);
         b.connect_with(
@@ -599,8 +708,8 @@ pub fn compile(
                 link.ba.rate_bps,
                 SimDuration::from_nanos(link.ba.propagation_ns),
             ),
-            build_qdisc(&link.qdisc_ab),
-            build_qdisc(&link.qdisc_ba),
+            build_qdisc(&link.qdisc_ab, || format!("`{}`-`{}` ab", link.a, link.b))?,
+            build_qdisc(&link.qdisc_ba, || format!("`{}`-`{}` ba", link.a, link.b))?,
         );
     }
 
@@ -618,7 +727,7 @@ pub fn compile(
         for rule in &cond.rules {
             table.push(
                 build_match(&rule.matches, &ids)?,
-                build_action(&rule.action),
+                build_action(&rule.action, &cond.node)?,
             );
         }
         let mut boxed: BoxConditioner = Box::new(table);
@@ -665,6 +774,8 @@ mod tests {
         RuleSpec,
     };
     use dsv_net::network::Simulation;
+    use proptest::prelude::*;
+    use serde::{Deserialize, Num, Value};
 
     fn expect_err(r: Result<CompiledScenario, CompileError>) -> CompileError {
         match r {
@@ -767,20 +878,107 @@ mod tests {
         assert_eq!(seen.into_inner(), vec!["ingress".to_string()]);
     }
 
-    /// The committed example spec, parsed.
+    const CHAIN: &str = "scenario_policed_chain";
+    const AF_TCP: &str = "scenario_af_tcp";
+    const ABR: &str = "scenario_abr_qbone";
+
+    /// A committed example spec, as a JSON tree.
+    fn example_tree(name: &str) -> Value {
+        let path = format!("{}/../../examples/{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(path).expect("the committed example exists");
+        serde_json::parse_value(&text).expect("the committed example parses")
+    }
+
+    /// The committed policed-chain example, parsed.
     fn policed_chain_example() -> ScenarioSpec {
-        serde_json::from_str(include_str!(
-            "../../../examples/scenario_policed_chain.json"
-        ))
-        .expect("the committed example parses")
+        ScenarioSpec::from_value(&example_tree(CHAIN)).expect("the committed example parses")
+    }
+
+    /// What a mutant does to the value at its path.
+    #[derive(Debug, Clone, Copy)]
+    enum Mutation {
+        /// Numbers become 0, arrays empty, strings empty.
+        Zero,
+        /// Numbers become the largest `u32`.
+        MaxU32,
+        /// Numbers become the largest `u64`.
+        MaxU64,
+        /// The field (or array element) is removed.
+        Drop,
+    }
+
+    /// The value under `v` at `step`: an object field, or an array element.
+    fn child_mut<'v>(v: &'v mut Value, step: &str) -> &'v mut Value {
+        match v {
+            Value::Object(fields) => {
+                &mut fields
+                    .iter_mut()
+                    .find(|(k, _)| k == step)
+                    .expect("path exists")
+                    .1
+            }
+            Value::Array(items) => &mut items[step.parse::<usize>().expect("an index")],
+            _ => panic!("no `{step}` under a scalar"),
+        }
+    }
+
+    /// Every path into `v`: its steps are object keys and array indices.
+    fn paths(v: &Value, prefix: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
+        let children: Vec<(String, &Value)> = match v {
+            Value::Object(fields) => fields.iter().map(|(k, c)| (k.clone(), c)).collect(),
+            Value::Array(items) => items
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (i.to_string(), c))
+                .collect(),
+            _ => Vec::new(),
+        };
+        for (step, child) in children {
+            prefix.push(step);
+            out.push(prefix.clone());
+            paths(child, prefix, out);
+            prefix.pop();
+        }
+    }
+
+    /// `tree` with `mutation` applied at `path`.
+    fn mutate(tree: &Value, path: &[String], mutation: Mutation) -> Value {
+        let mut tree = tree.clone();
+        let (last, parents) = path.split_last().expect("paths are non-empty");
+        let parent = parents.iter().fold(&mut tree, |v, step| child_mut(v, step));
+        match (mutation, parent) {
+            (Mutation::Drop, Value::Object(fields)) => fields.retain(|(k, _)| k != last),
+            (Mutation::Drop, Value::Array(items)) => {
+                items.remove(last.parse::<usize>().expect("an index"));
+            }
+            (mutation, parent) => {
+                let target = child_mut(parent, last);
+                *target = match (mutation, &*target) {
+                    (Mutation::Zero, Value::Num(_)) => Value::Num(Num::U(0)),
+                    (Mutation::Zero, Value::Array(_)) => Value::Array(Vec::new()),
+                    (Mutation::Zero, Value::Str(_)) => Value::Str(String::new()),
+                    (Mutation::MaxU32, Value::Num(_)) => Value::Num(Num::U(u32::MAX.into())),
+                    (Mutation::MaxU64, Value::Num(_)) => Value::Num(Num::U(u64::MAX)),
+                    (_, other) => other.clone(),
+                };
+            }
+        }
+        tree
+    }
+
+    /// Apply `mutation` at the `/`-separated `path` of example `name` and
+    /// expect a compile error containing `needle`.
+    fn assert_rejected(name: &str, path: &str, mutation: Mutation, needle: &str) {
+        let path: Vec<String> = path.split('/').map(String::from).collect();
+        let mutant = mutate(&example_tree(name), &path, mutation);
+        let spec = ScenarioSpec::from_value(&mutant).expect("the mutant parses");
+        let err = expect_err(compile(&spec, CompileOptions::default()));
+        assert!(err.to_string().contains(needle), "{err}");
     }
 
     #[test]
     fn example_without_links_is_rejected() {
-        let mut spec = policed_chain_example();
-        spec.links.clear();
-        let err = expect_err(compile(&spec, CompileOptions::default()));
-        assert!(err.to_string().contains("has 0 links"), "{err}");
+        assert_rejected(CHAIN, "links", Mutation::Zero, "has 0 links");
     }
 
     #[test]
@@ -805,52 +1003,25 @@ mod tests {
     #[test]
     fn example_with_a_zero_rate_link_is_rejected() {
         for dir in ["ab", "ba"] {
-            let mut spec = policed_chain_example();
-            let bottleneck = &mut spec.links[2];
-            match dir {
-                "ab" => bottleneck.ab.rate_bps = 0,
-                _ => bottleneck.ba.rate_bps = 0,
-            }
-            let err = expect_err(compile(&spec, CompileOptions::default()));
-            assert!(
-                err.to_string()
-                    .contains(&format!("`edge`-`out` has `{dir}.rate_bps` 0")),
-                "{err}"
+            let needle = format!("`edge`-`out` has `{dir}.rate_bps` 0");
+            assert_rejected(
+                CHAIN,
+                &format!("links/2/{dir}/rate_bps"),
+                Mutation::Zero,
+                &needle,
             );
         }
     }
 
-    /// Zero one field of the example's on-off source and expect the
+    /// Zero one field of the example's on-off source `bg` and expect the
     /// compiler to name it.
     fn assert_on_off_field_rejected(field: &str) {
-        let mut spec = policed_chain_example();
-        let bg = spec
-            .nodes
-            .iter_mut()
-            .find(|n| n.name == "bg")
-            .expect("the example has a `bg` source");
-        let Some(AppSpec::OnOffSource {
-            packet_size,
-            peak_rate_bps,
-            mean_on_us,
-            mean_off_us,
-            ..
-        }) = &mut bg.app
-        else {
-            panic!("`bg` is an on-off source");
-        };
-        match field {
-            "packet_size" => *packet_size = 0,
-            "peak_rate_bps" => *peak_rate_bps = 0,
-            "mean_on_us" => *mean_on_us = 0,
-            "mean_off_us" => *mean_off_us = 0,
-            _ => unreachable!("unknown on-off field {field}"),
-        }
-        let err = expect_err(compile(&spec, CompileOptions::default()));
-        assert!(
-            err.to_string()
-                .contains(&format!("on_off_source `bg` has `{field}` 0")),
-            "{err}"
+        let needle = format!("on_off_source `bg` has `{field}` 0");
+        assert_rejected(
+            CHAIN,
+            &format!("nodes/5/app/{field}"),
+            Mutation::Zero,
+            &needle,
         );
     }
 
@@ -868,6 +1039,88 @@ mod tests {
     #[test]
     fn example_with_empty_packets_is_rejected() {
         assert_on_off_field_rejected("packet_size");
+    }
+
+    #[test]
+    fn example_with_a_zero_police_rate_is_rejected() {
+        let needle = "the police rule at `edge` has `rate_bps` 0";
+        assert_rejected(
+            CHAIN,
+            "conditioners/0/rules/0/action/rate_bps",
+            Mutation::Zero,
+            needle,
+        );
+    }
+
+    #[test]
+    fn example_with_a_zero_police_depth_is_rejected() {
+        let needle = "the police rule at `edge` has `depth_bytes` 0";
+        let path = "conditioners/0/rules/0/action/depth_bytes";
+        assert_rejected(CHAIN, path, Mutation::Zero, needle);
+    }
+
+    #[test]
+    fn example_with_a_zero_meter_cir_is_rejected() {
+        let needle = "the meter_af rule at `edge` has `cir_bps` 0";
+        assert_rejected(
+            AF_TCP,
+            "conditioners/0/rules/0/action/cir_bps",
+            Mutation::Zero,
+            needle,
+        );
+    }
+
+    #[test]
+    fn example_with_a_zero_meter_cbs_is_rejected() {
+        let needle = "the meter_af rule at `edge` has `cbs_bytes` 0";
+        let path = "conditioners/0/rules/0/action/cbs_bytes";
+        assert_rejected(AF_TCP, path, Mutation::Zero, needle);
+    }
+
+    #[test]
+    fn example_with_a_zero_capacity_wred_queue_is_rejected() {
+        let needle = "the wred queue on `edge`-`egress` ab has `capacity_bytes` 0";
+        assert_rejected(
+            AF_TCP,
+            "links/8/qdisc_ab/capacity_bytes",
+            Mutation::Zero,
+            needle,
+        );
+    }
+
+    #[test]
+    fn example_with_an_empty_abr_ladder_is_rejected() {
+        let needle = "abr_client `client` has `rungs_bps` []";
+        assert_rejected(ABR, "nodes/0/app/rungs_bps", Mutation::Zero, needle);
+    }
+
+    #[test]
+    fn example_with_a_zero_abr_step_is_rejected() {
+        let needle = "abr_client `client` has `step_us` 0";
+        assert_rejected(ABR, "nodes/0/app/step_us", Mutation::Zero, needle);
+    }
+
+    #[test]
+    fn example_with_zero_abr_segments_is_rejected() {
+        let needle = "abr_client `client` has `segments` 0";
+        assert_rejected(ABR, "nodes/0/app/segments", Mutation::Zero, needle);
+    }
+
+    #[test]
+    fn example_with_an_unbounded_peak_rate_is_rejected() {
+        let needle = "on_off_source `bg` has `peak_rate_bps` 18446744073709551615, \
+                      above its 100000000 bps access link";
+        assert_rejected(CHAIN, "nodes/5/app/peak_rate_bps", Mutation::MaxU64, needle);
+    }
+
+    #[test]
+    fn example_with_empty_pump_packets_is_rejected() {
+        assert_rejected(
+            CHAIN,
+            "nodes/4/app/size",
+            Mutation::Zero,
+            "pump `tx` has `size` 0",
+        );
     }
 
     #[test]
@@ -904,5 +1157,29 @@ mod tests {
         ));
         let err = expect_err(compile(&spec, CompileOptions::default()));
         assert!(err.to_string().contains("ClipStore"), "{err}");
+    }
+
+    proptest! {
+        /// Zero, extreme and dropped-field mutants of every committed
+        /// example either fail to parse, fail to compile with a
+        /// `CompileError`, or compile and survive a short run: never a
+        /// panic, never a hang.
+        #[test]
+        fn mutated_examples_compile_or_fail_cleanly(pick in 0u64..u64::MAX, kind in 0usize..4) {
+            let mutation = [Mutation::Zero, Mutation::MaxU32, Mutation::MaxU64, Mutation::Drop][kind];
+            for name in [CHAIN, AF_TCP, ABR] {
+                let tree = example_tree(name);
+                let mut all = Vec::new();
+                paths(&tree, &mut Vec::new(), &mut all);
+                let path = &all[(pick % all.len() as u64) as usize];
+                let Ok(spec) = ScenarioSpec::from_value(&mutate(&tree, path, mutation)) else {
+                    continue;
+                };
+                if let Ok(compiled) = compile(&spec, CompileOptions::default()) {
+                    let mut sim = Simulation::new(compiled.net);
+                    sim.run_until(dsv_sim::SimTime::from_millis(200));
+                }
+            }
+        }
     }
 }
